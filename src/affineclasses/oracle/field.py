@@ -138,7 +138,7 @@ class FiniteField:
     def primitive(self) -> int:
         """Least generator of the multiplicative group."""
         target = self.size - 1
-        for x in range(2, self.size):
+        for x in range(1, self.size):
             k, y = 1, x
             while y != 1:
                 y = self.mul(y, x)

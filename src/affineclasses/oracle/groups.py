@@ -6,13 +6,15 @@ natural module V = F^n; points are indexed by little-endian base-|F| digits.
 Permutations over at most 256 points are stored as 256-byte translation
 tables so composition runs through bytes.translate.
 
+Every group is built one way: the closure of a generator recipe, accepted
+only when it reaches the standard order formula (see build_group).
+
 Forms are fixed once:
   * symplectic: block-antidiagonal Gram [[0, I], [-I, 0]];
   * hermitian: identity Gram with conjugation x -> x^p;
   * orthogonal, odd characteristic: identity Gram, or the same with a single
     non-square in the corner; which of the two types each Gram yields is
-    decided by comparing the built group order against the type's order
-    formula;
+    decided by whether the closure reaches the requested type's order;
   * orthogonal, characteristic 2: quadratic forms x1 x2 + x3 x4 + ... for
     plus type, with the last hyperbolic pair replaced by an anisotropic
     binary form for minus type.
@@ -23,7 +25,6 @@ from __future__ import annotations
 from .field import FiniteField, field_for_order, finite_field, is_prime
 
 DEFAULT_CAP = 2_000_000
-FILTER_LIMIT = 1 << 19
 
 GROUP_FAMILIES = ("GL", "SL", "GU", "SU", "Sp", "O", "O+", "O-")
 
@@ -71,10 +72,6 @@ def mat_sub(F: FiniteField, a: tuple, b: tuple) -> tuple:
     return tuple(F.sub(x, y) for x, y in zip(a, b))
 
 
-def mat_transpose(a: tuple, n: int) -> tuple:
-    return tuple(a[j * n + i] for i in range(n) for j in range(n))
-
-
 def mat_rank(F: FiniteField, a: tuple, n: int) -> int:
     rows = [list(a[i * n:(i + 1) * n]) for i in range(n)]
     rank = 0
@@ -120,15 +117,6 @@ def mat_det(F: FiniteField, a: tuple, n: int) -> int:
                 c = F.mul(inv, rows[r][col])
                 rows[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(rows[r], rows[col])]
     return det
-
-
-def mat_encode(mat: tuple, size: int) -> int:
-    """Row-major digits packed big-endian, so integer order equals the
-    lexicographic order of the tuples."""
-    out = 0
-    for x in mat:
-        out = out * size + x
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +394,14 @@ def _transvection(F: FiniteField, n: int, v: tuple, cvec: tuple) -> tuple:
     return tuple(out)
 
 
+def _quasi_reflection(F: FiniteField, n: int, v: tuple, lam: int) -> tuple:
+    """x -> x + ((lam-1)/h(v,v)) h(v,x) v for non-isotropic v: a unitary
+    map of determinant lam when lam has norm 1."""
+    coef = F.div(F.sub(lam, 1), hermitian(F, v, v))
+    return _transvection(F, n, tuple(F.mul(coef, x) for x in v),
+                         tuple(F.conj(x) for x in v))
+
+
 def _recipe_candidates(family: str, F: FiniteField, n: int, form: FormData):
     cands = []
     if family in ("GL", "SL"):
@@ -456,28 +452,37 @@ def _recipe_candidates(family: str, F: FiniteField, n: int, form: FormData):
                 F, form.gram, tuple(1 if k == i else 0 for k in range(n)), v))
                 for i in range(n))
             cands.append(_transvection(F, n, v, cvec))
+        if n == 4:
+            # O+(4,2) is not generated by its transvections (they give
+            # order 36 of 72); the swap of the two hyperbolic pairs
+            # completes it.  It does not preserve the minus-type form.
+            cands.append((0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0))
         return cands
     if family in ("GU", "SU"):
         # unitary transvections x -> x + lam h(v,x) v with h(v,v)=0 and
         # lam of trace zero
         lams = [x for x in range(1, F.size) if F.add(x, F.conj(x)) == 0]
+        nonisotropic = []
         for v in _proj_vectors(F, n):
             if hermitian(F, v, v):
+                nonisotropic.append(v)
                 continue
             cvec = tuple(F.conj(x) for x in v)  # functional x -> h(v, x)
             for lam in lams:
                 lv = tuple(F.mul(lam, x) for x in v)
                 cands.append(_transvection(F, n, lv, cvec))
+        # quasi-reflections, lam != 1 of norm 1, extend SU to GU; their
+        # det-1 products R(v0, lam^-1) R(v, lam) complete SU(3,2), which the
+        # transvections alone do not generate (order 54 of 216)
+        norm1 = [x for x in range(2, F.size) if F.mul(x, F.conj(x)) == 1]
         if family == "GU":
-            # extend SU by a determinant representative of order q+1
-            q = F.p
-            alpha = 1
-            prim = F.primitive()
-            for _ in range(q - 1):
-                alpha = F.mul(alpha, prim)
-            m = list(mat_identity(n))
-            m[0] = alpha
-            cands.insert(0, tuple(m))
+            cands.extend(_quasi_reflection(F, n, v, lam)
+                         for v in nonisotropic for lam in norm1)
+        else:
+            v0 = nonisotropic[0]
+            cands.extend(mat_mul(F, _quasi_reflection(F, n, v0, F.inv(lam)),
+                                 _quasi_reflection(F, n, v, lam), n)
+                         for v in nonisotropic[1:] for lam in norm1)
         return cands
     raise ValueError("no generator recipe for %s over this field" % (family,))
 
@@ -501,20 +506,20 @@ def _perm_closure(gen_perms, mv: int, limit: int):
 
 
 def _greedy_generators(cand_perms, mv: int, expected: int):
-    """Pick a small generating subset, scanning candidates in order."""
-    ident = identity_perm(mv)
-    gens, closure = [], {ident}
-    if expected == 1:
-        return gens, closure
+    """Pick a small generating subset, scanning candidates in order.  The
+    order is checked only after every candidate lies in the closure, so a
+    closure that reaches the expected order as a proper subgroup of what
+    the candidates generate raises instead of being accepted."""
+    gens, closure = [], {identity_perm(mv)}
     for i, p in enumerate(cand_perms):
         if p in closure:
             continue
         gens.append(i)
         closure = _perm_closure([cand_perms[k] for k in gens], mv, expected)
-        if len(closure) == expected:
-            return gens, closure
-    raise RuntimeError("candidates generate a group of order %d, expected %d"
-                       % (len(closure), expected))
+    if len(closure) != expected:
+        raise RuntimeError("candidates generate a group of order %d, expected %d"
+                           % (len(closure), expected))
+    return gens, closure
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +527,7 @@ def _greedy_generators(cand_perms, mv: int, expected: int):
 
 class MatrixGroup:
     """An enumerated classical group with aligned matrix and permutation
-    views of every element, sorted by matrix encoding."""
+    views of every element, sorted by matrix."""
 
     def __init__(self, family, n, q, field, form, elements, perms, generators,
                  gen_perms):
@@ -553,9 +558,6 @@ class MatrixGroup:
 
     def preserves_form(self, mat: tuple) -> bool:
         return preserves_form(self.field, self.form, mat, self.n)
-
-    def encodings(self):
-        return [mat_encode(m, self.field.size) for m in self.elements]
 
     def __len__(self):
         return self.order
@@ -594,39 +596,19 @@ def _resolve_form(family: str, F: FiniteField, n: int, q: int, twist: bool = Fal
     raise ValueError("unknown family %r" % (family,))
 
 
-def _filter_elements(family: str, F: FiniteField, n: int, form: FormData):
-    size = F.size
-    dets = family in ("SL", "SU")
-    gl = family in ("GL", "SL")
-    out = []
-    mat = [0] * (n * n)
-    last = n * n - 1
-
-    def rec(pos):
-        if pos > last:
-            m = tuple(mat)
-            if gl:
-                d = mat_det(F, m, n)
-                if d == 0 or (dets and d != 1):
-                    return
-            else:
-                if not preserves_form(F, form, m, n):
-                    return
-                if dets and mat_det(F, m, n) != 1:
-                    return
-            out.append(m)
-            return
-        for x in range(size):
-            mat[pos] = x
-            rec(pos + 1)
-
-    rec(0)
-    return out
-
-
 def build_group(family: str, n: int, q: int, cap: int = DEFAULT_CAP) -> MatrixGroup:
-    """Enumerate a classical group, by filtering all matrices when that is
-    feasible and by closing a validated generator recipe otherwise."""
+    """Enumerate a classical group by closing its generator recipe.
+
+    The recipe lists elementary transvections (plus a primitive diagonal
+    for GL), symplectic transvections, orthogonal reflections or
+    transvections, and unitary transvections with quasi-reflections.  Two
+    groups are the classical exceptions to generation by transvections
+    and get extra candidates: SU(3,2), det-1 products of unitary
+    quasi-reflections, and O+(4,2), the swap of its two hyperbolic pairs.
+    Candidates outside the group are dropped before the closure, so the
+    closure is a subgroup and reaching the order formula proves it is the
+    whole group.
+    """
     if family not in GROUP_FAMILIES:
         raise ValueError("unknown family %r (choose from %s)"
                          % (family, ", ".join(GROUP_FAMILIES)))
@@ -635,30 +617,20 @@ def build_group(family: str, n: int, q: int, cap: int = DEFAULT_CAP) -> MatrixGr
     if expected > cap:
         raise CapExceeded("group order %d exceeds cap %d" % (expected, cap))
 
-    if family in ("O", "O+", "O-") and q % 2 == 1 and family != "O":
-        return _build_odd_orthogonal(family, n, q, F, cap)
+    if family in ("O+", "O-") and q % 2:
+        return _build_odd_orthogonal(family, n, q, F, expected)
     form = _resolve_form(family, F, n, q)
     return _assemble(family, n, q, F, form, expected)
 
 
 def _assemble(family, n, q, F, form, expected) -> MatrixGroup:
     size = F.size
-    mv = size ** n
-    if size ** (n * n) <= FILTER_LIMIT:
-        mats = _filter_elements(family, F, n, form)
-        if len(mats) != expected:
-            raise RuntimeError("filter produced order %d for %s(%d,%d), expected %d"
-                               % (len(mats), family, n, q, expected))
-        mats.sort()
-        perms = [perm_from_matrix(F, m, n) for m in mats]
-        gen_pos, _ = _greedy_generators(perms, mv, expected)
-        generators = [mats[i] for i in gen_pos]
-        gen_perms = [perms[i] for i in gen_pos]
-        return MatrixGroup(family, n, q, F, form, mats, perms, generators, gen_perms)
-
-    cands = _recipe_candidates(family, F, n, form)
+    det1 = family in ("SL", "SU")
+    cands = [m for m in _recipe_candidates(family, F, n, form)
+             if preserves_form(F, form, m, n)
+             and (not det1 or mat_det(F, m, n) == 1)]
     cand_perms = [perm_from_matrix(F, m, n) for m in cands]
-    gen_pos, closure = _greedy_generators(cand_perms, mv, expected)
+    gen_pos, closure = _greedy_generators(cand_perms, size ** n, expected)
     generators = [cands[i] for i in gen_pos]
     gen_perms = [cand_perms[i] for i in gen_pos]
     pairs = []
@@ -675,32 +647,13 @@ def _assemble(family, n, q, F, form, expected) -> MatrixGroup:
     return MatrixGroup(family, n, q, F, form, mats, perms, generators, gen_perms)
 
 
-def _build_odd_orthogonal(family, n, q, F, cap) -> MatrixGroup:
-    """Even-dimensional odd-characteristic orthogonal groups: build with the
-    identity Gram first, tag its type by order, switch to the twisted Gram
-    when the other type was requested."""
-    want = expected_order(family, n, q)
-    other = expected_order("O-" if family == "O+" else "O+", n, q)
-    for twist in (False, True):
-        form = _resolve_form(family, F, n, q, twist=twist)
-        try:
-            return _assemble(family, n, q, F, form, want)
-        except RuntimeError:
-            # the closure hit the other type's order; try the twisted Gram
-            got = _probe_order(family, F, n, form, limit=max(want, other))
-            if got != other:
-                raise
-    raise RuntimeError("neither Gram matrix realizes type %s in dimension %d"
-                       % (family, n))
-
-
-def _probe_order(family, F, n, form, limit):
-    if F.size ** (n * n) <= FILTER_LIMIT:
-        return len(_filter_elements(family, F, n, form))
-    cands = _recipe_candidates(family, F, n, form)
-    cand_perms = [perm_from_matrix(F, m, n) for m in cands]
+def _build_odd_orthogonal(family, n, q, F, expected) -> MatrixGroup:
+    """Even-dimensional odd-characteristic orthogonal groups: the identity
+    Gram realizes one of the two types; when its closure does not match
+    the requested order, the twisted Gram realizes the other."""
     try:
-        closure = _perm_closure(cand_perms, F.size ** n, limit)
+        return _assemble(family, n, q, F,
+                         _resolve_form(family, F, n, q, twist=False), expected)
     except RuntimeError:
-        return -1
-    return len(closure)
+        return _assemble(family, n, q, F,
+                         _resolve_form(family, F, n, q, twist=True), expected)

@@ -23,7 +23,8 @@ from affineclasses.oracle import (AffineGroup, CapExceeded,
                                   unipotent_partition)
 from affineclasses.oracle import kernels as kernel_mod
 from affineclasses.oracle import _kernels_py
-from affineclasses.oracle.groups import mat_vec, p_compose, p_invert, perm_from_matrix
+from affineclasses.oracle.groups import (_greedy_generators, mat_vec, p_compose,
+                                        p_invert, perm_from_matrix)
 
 
 def affine_count(family, characteristic, q, n):
@@ -90,6 +91,7 @@ class TestField:
     def test_special_elements(self):
         assert finite_field(3, 1).nonsquare() == 2
         assert finite_field(7, 1).primitive() == 3
+        assert finite_field(2, 1).primitive() == 1
         F = finite_field(2, 2)
         with pytest.raises(ValueError):
             F.nonsquare()
@@ -99,10 +101,10 @@ class TestField:
 # groups
 
 ORDER_CELLS = [
-    ("GL", 2, 2, 6), ("GL", 2, 3, 48), ("GL", 3, 2, 168), ("GL", 3, 3, 11232),
-    ("SL", 2, 3, 24), ("SL", 3, 2, 168),
-    ("GU", 1, 2, 3), ("GU", 2, 2, 18), ("GU", 2, 3, 96),
-    ("SU", 2, 2, 6), ("SU", 3, 2, 216),
+    ("GL", 1, 2, 1), ("GL", 2, 2, 6), ("GL", 2, 3, 48), ("GL", 3, 2, 168), ("GL", 3, 3, 11232),
+    ("SL", 2, 3, 24), ("SL", 3, 2, 168), ("SL", 2, 9, 720),
+    ("GU", 1, 2, 3), ("GU", 2, 2, 18), ("GU", 2, 3, 96), ("GU", 3, 2, 648),
+    ("SU", 2, 2, 6), ("SU", 2, 3, 24), ("SU", 3, 2, 216),
     ("Sp", 2, 2, 6), ("Sp", 2, 3, 24), ("Sp", 4, 2, 720), ("Sp", 4, 3, 51840),
     ("O", 1, 3, 2), ("O", 3, 3, 48),
     ("O+", 2, 2, 2), ("O-", 2, 2, 6), ("O+", 4, 2, 72), ("O-", 4, 2, 120),
@@ -127,6 +129,7 @@ class TestBuildGroup:
             assert m in set(g.elements)
 
     @pytest.mark.parametrize("family,n,q", [("Sp", 2, 3), ("GU", 2, 2),
+                                            ("SU", 3, 2), ("O+", 4, 2),
                                             ("O-", 4, 2), ("O+", 4, 3)])
     def test_every_element_preserves_the_form(self, family, n, q):
         g = build_group(family, n, q)
@@ -160,6 +163,14 @@ class TestBuildGroup:
         minus = build_group("O-", 2, 3)
         assert plus.order == 4 and minus.order == 8
         assert plus.form.gram != minus.form.gram
+
+    def test_closure_must_contain_every_candidate(self):
+        # the first transvection alone closes to the expected order 2, but
+        # the second lies outside that subgroup: GL(2,2) is not of order 2
+        F = finite_field(2, 1)
+        cands = [perm_from_matrix(F, m, 2) for m in [(1, 1, 0, 1), (1, 0, 1, 1)]]
+        with pytest.raises(RuntimeError):
+            _greedy_generators(cands, 4, 2)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -506,5 +517,6 @@ def _class_members(g, pos):
                     seen.add(c)
                     stack.append(c)
         assert len(seen) == dec.sizes[pos]
-        _members_cache[key] = seen
-    return _members_cache[key]
+        # holding g keeps its id from being reused by a later group
+        _members_cache[key] = (g, seen)
+    return _members_cache[key][1]
