@@ -11,7 +11,6 @@ from .series import (
     Q,
     QPoly,
     QPOLY,
-    Rat,
     RATIONAL,
     TruncatedSeries,
     apply_product,

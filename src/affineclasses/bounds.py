@@ -12,9 +12,9 @@ certificate holds only when the upper end is at most the claimed constant.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .classcount import FamilyKey, affine_series, ao_split, k_ah
+from .classcount import affine_counts, k_ah
 from .series import (RATIONAL, FactorFamily, TruncatedSeries, apply_product,
                      geometric)
 
@@ -25,53 +25,29 @@ DEFAULT_N_MAX = 25
 
 
 # ---------------------------------------------------------------------------
-# exact counts from the generating functions
-
-@lru_cache(maxsize=None)
-def _series_counts(family: str, characteristic: str, q: int, n_max: int):
-    s = affine_series(FamilyKey(family, characteristic), q=q, order=n_max)
-    return tuple(int(Fraction(c)) for c in s.coeffs)
-
-
-@lru_cache(maxsize=None)
-def _ao_pair(characteristic: str, q: int, n_max: int):
-    s = affine_series(FamilyKey("AO-sum", characteristic), q=q, order=n_max)
-    d = affine_series(FamilyKey("AO-diff", characteristic), q=q, order=n_max)
-    plus, minus = ao_split(s, d, q=q)
-    return tuple(plus.values), tuple(minus.values)
-
+# single cells of the closed-form counts
 
 def k_agl(q: int, n: int) -> int:
-    ch = "odd" if q % 2 else "even"
-    return _series_counts("AGL", ch, q, n)[n]
+    return affine_counts("agl", q, n)[n]
 
 
 def k_agu(q: int, n: int) -> int:
-    ch = "odd" if q % 2 else "even"
-    return _series_counts("AGU", ch, q, n)[n]
+    return affine_counts("agu", q, n)[n]
 
 
 def k_asp(q: int, n: int) -> int:
     """k of the affine symplectic group in dimension 2n."""
-    ch = "odd" if q % 2 else "even"
-    return _series_counts("ASp", ch, q, n)[n]
+    return affine_counts("asp", q, n)[n]
 
 
 def k_ao_even_dim(q: int, n: int, plus: bool) -> int:
     """k of an affine orthogonal group of type +/- in dimension 2n."""
-    if q % 2:
-        p, m = _ao_pair("odd", q, 2 * n)
-        return p[2 * n] if plus else m[2 * n]
-    p, m = _ao_pair("even", q, n)
-    return p[n] if plus else m[n]
+    return affine_counts("ao-plus" if plus else "ao-minus", q, n)[n]
 
 
 def k_ao_odd_dim(q: int, n: int) -> int:
     """k of the affine orthogonal group in dimension 2n+1, odd q."""
-    if q % 2 == 0:
-        raise ValueError("odd-dimensional orthogonal groups need odd q")
-    p, _ = _ao_pair("odd", q, 2 * n + 1)
-    return p[2 * n + 1]
+    return affine_counts("ao-odd", q, n)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +55,10 @@ def k_ao_odd_dim(q: int, n: int) -> int:
 
 class BoundSpec:
     """One corollary-level inequality: an exact count, a bound expression,
-    a comparison mode and the verbatim exception list {(n, q): value}."""
+    a comparison mode and the verbatim exception list {(n, q): value}.
+
+    count(q, n_max) returns the counts for n = 0..n_max, so each q's series
+    is read once per grid."""
 
     def __init__(self, spec_id, family, characteristic, description, count,
                  bound, mode, exceptions=None, applicable=None, n_min=1):
@@ -133,10 +112,11 @@ def check_bound(spec: BoundSpec, q_set=Q_ALL, n_max=DEFAULT_N_MAX) -> BoundRepor
     listed exception value exactly, or is a VIOLATION."""
     cells = []
     for q in spec.q_set(q_set):
+        counts = spec.count(q, n_max)
         for n in range(spec.n_min, n_max + 1):
             if not spec.applicable(q, n):
                 continue
-            k = spec.count(q, n)
+            k = counts[n]
             bound = spec.bound(q, n)
             if (n, q) in spec.exceptions:
                 # exceptional cells must reproduce their listed value exactly
@@ -151,107 +131,114 @@ def check_bound(spec: BoundSpec, q_set=Q_ALL, n_max=DEFAULT_N_MAX) -> BoundRepor
     return BoundReport(spec.id, cells)
 
 
-def _asu_sandwich_count(q, n):
+def _asu_sandwich_counts(q, n_max):
     # The majorant (q+1) k(AGU) covers every intermediate subgroup.  At q=2
     # it is too weak for n=3,4, but there the only intermediate groups are
     # ASU (exact value known) and AGU itself (exact from the series).
     exact_asu = {(3, 2): 24, (4, 2): 49}
-    if (n, q) in exact_asu:
-        return max(exact_asu[(n, q)], k_agu(q, n))
-    return k_agu(q, n) * (q + 1)
+    return [max(exact_asu[(n, q)], k) if (n, q) in exact_asu else k * (q + 1)
+            for n, k in enumerate(affine_counts("agu", q, n_max))]
+
+
+_AGL = partial(affine_counts, "agl")
+_AGU = partial(affine_counts, "agu")
+_ASP = partial(affine_counts, "asp")
+_AO_PLUS = partial(affine_counts, "ao-plus")
+_AO_MINUS = partial(affine_counts, "ao-minus")
+_AO_ODD = partial(affine_counts, "ao-odd")
 
 
 BOUND_SPECS = [
     BoundSpec(
         "agl-dim1", "AGL", "any",
         "k(AGL(1,q)) = q",
-        k_agl, lambda q, n: q, "eq",
+        _AGL, lambda q, n: q, "eq",
         applicable=lambda q, n: n == 1),
     BoundSpec(
         "agl-window", "AGL", "any",
         "q^n < k(AGL(n,q)) < 2 q^n for n >= 2",
-        k_agl, lambda q, n: (q ** n, 2 * q ** n),
+        _AGL, lambda q, n: (q ** n, 2 * q ** n),
         "window", n_min=2),
     BoundSpec(
         "agu-20qn", "AGU", "any",
         "k(AGU(n,q)) <= 20 q^n",
-        k_agu, lambda q, n: 20 * q ** n, "le"),
+        _AGU, lambda q, n: 20 * q ** n, "le"),
     BoundSpec(
         "agu-q2n", "AGU", "any",
         "k(AGU(n,q)) <= q^(2n)",
-        k_agu, lambda q, n: q ** (2 * n), "le"),
+        _AGU, lambda q, n: q ** (2 * n), "le"),
     BoundSpec(
         "asu-sandwich-q2n", "ASU..AGU", "any",
         "k(H) <= q^(2n) for ASU(n,q) <= H <= AGU(n,q), n >= 3, via the "
         "index majorant (q+1) k(AGU) and the exact ASU values at q=2",
-        _asu_sandwich_count, lambda q, n: q ** (2 * n), "le", n_min=3),
+        _asu_sandwich_counts, lambda q, n: q ** (2 * n), "le", n_min=3),
     BoundSpec(
         "asp-odd-27qn", "ASp", "odd",
         "k(ASp(2n,q)) <= 27 q^n in odd characteristic",
-        k_asp, lambda q, n: 27 * q ** n, "le"),
+        _ASP, lambda q, n: 27 * q ** n, "le"),
     BoundSpec(
         "asp-odd-q2n", "ASp", "odd",
         "k(ASp(2n,q)) <= q^(2n) in odd characteristic, except ASp(2,3)",
-        k_asp, lambda q, n: q ** (2 * n), "le",
+        _ASP, lambda q, n: q ** (2 * n), "le",
         exceptions={(1, 3): 10}),
     BoundSpec(
         "asp-even-56qn", "ASp", "even",
         "k(ASp(2n,q)) <= 56 q^n in even characteristic",
-        k_asp, lambda q, n: 56 * q ** n, "le"),
+        _ASP, lambda q, n: 56 * q ** n, "le"),
     BoundSpec(
         "asp-even-q2n", "ASp", "even",
         "k(ASp(2n,q)) <= q^(2n) in even characteristic, except three cells "
         "at q=2",
-        k_asp, lambda q, n: q ** (2 * n), "le",
+        _ASP, lambda q, n: q ** (2 * n), "le",
         exceptions={(1, 2): 5, (2, 2): 21, (3, 2): 67}),
     BoundSpec(
         "ao-plus-odd-29qn", "AO+", "odd",
         "k(AO+(2n,q)) <= 29 q^n for odd q",
-        lambda q, n: k_ao_even_dim(q, n, True),
+        _AO_PLUS,
         lambda q, n: 29 * q ** n, "le"),
     BoundSpec(
         "ao-minus-odd-29qn", "AO-", "odd",
         "k(AO-(2n,q)) <= 29 q^n for odd q",
-        lambda q, n: k_ao_even_dim(q, n, False),
+        _AO_MINUS,
         lambda q, n: 29 * q ** n, "le"),
     BoundSpec(
         "ao-plus-odd-q2n", "AO+", "odd",
         "k(AO+(2n,q)) <= q^(2n) for odd q",
-        lambda q, n: k_ao_even_dim(q, n, True),
+        _AO_PLUS,
         lambda q, n: q ** (2 * n), "le"),
     BoundSpec(
         "ao-minus-odd-q2n", "AO-", "odd",
         "k(AO-(2n,q)) <= q^(2n) for odd q",
-        lambda q, n: k_ao_even_dim(q, n, False),
+        _AO_MINUS,
         lambda q, n: q ** (2 * n), "le"),
     BoundSpec(
         "ao-odd-dim-20qn1", "AO", "odd",
         "k(AO(2n+1,q)) <= 20 q^(n+1) for odd q",
-        k_ao_odd_dim, lambda q, n: 20 * q ** (n + 1), "le", n_min=0),
+        _AO_ODD, lambda q, n: 20 * q ** (n + 1), "le", n_min=0),
     BoundSpec(
         "ao-odd-dim-q2n1", "AO", "odd",
         "k(AO(2n+1,q)) <= q^(2n+1) for odd q",
-        k_ao_odd_dim, lambda q, n: q ** (2 * n + 1), "le", n_min=0),
+        _AO_ODD, lambda q, n: q ** (2 * n + 1), "le", n_min=0),
     BoundSpec(
         "ao-plus-even-60qn", "AO+", "even",
         "k(AO+(2n,q)) <= 60 q^n for even q",
-        lambda q, n: k_ao_even_dim(q, n, True),
+        _AO_PLUS,
         lambda q, n: 60 * q ** n, "le"),
     BoundSpec(
         "ao-minus-even-60qn", "AO-", "even",
         "k(AO-(2n,q)) <= 60 q^n for even q",
-        lambda q, n: k_ao_even_dim(q, n, False),
+        _AO_MINUS,
         lambda q, n: 60 * q ** n, "le"),
     BoundSpec(
         "ao-plus-even-q2n", "AO+", "even",
         "k(AO+(2n,q)) <= q^(2n) for even q, except two cells at q=2",
-        lambda q, n: k_ao_even_dim(q, n, True),
+        _AO_PLUS,
         lambda q, n: q ** (2 * n), "le",
         exceptions={(1, 2): 5, (2, 2): 20}),
     BoundSpec(
         "ao-minus-even-q2n", "AO-", "even",
         "k(AO-(2n,q)) <= q^(2n) for even q, except three cells at q=2",
-        lambda q, n: k_ao_even_dim(q, n, False),
+        _AO_MINUS,
         lambda q, n: q ** (2 * n), "le",
         exceptions={(1, 2): 5, (2, 2): 18, (3, 2): 65}),
 ]

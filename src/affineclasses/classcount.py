@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 
 from .series import (
     DEFAULT_ORDER,
@@ -192,6 +194,12 @@ def _check_value_q(key: FamilyKey, q):
     qi = _to_int(q)
     if qi < 2:
         raise ValueError("q must be at least 2")
+    p = next((d for d in range(2, isqrt(qi) + 1) if qi % d == 0), qi)
+    r = qi
+    while r % p == 0:
+        r //= p
+    if r != 1:
+        raise ValueError("q must be a prime power, got %d" % qi)
     if key.characteristic == "odd" and qi % 2 == 0:
         raise ValueError("odd-characteristic key needs odd q, got %d" % qi)
     if key.characteristic == "even" and (qi & (qi - 1)):
@@ -398,6 +406,57 @@ def ao_split(sum_series: TruncatedSeries, diff_series: TruncatedSeries,
 
 
 # ---------------------------------------------------------------------------
+# closed-form counts per table row
+
+#: table families read off one series; the orthogonal ones ("ao-plus",
+#: "ao-minus", "ao-odd") split the AO-sum and AO-diff series
+_ONE_SERIES = {"agl": "AGL", "agu": "AGU", "asp": "ASp"}
+TABLE_FAMILIES = ("agl", "agu", "asp", "ao-plus", "ao-minus", "ao-odd")
+
+
+def row_index(family: str, ch: str, n: int) -> int:
+    """Series coefficient index of table row n, whose dimension is n for
+    agl/agu, 2n for asp/ao-plus/ao-minus and 2n+1 for ao-odd.  The orthogonal
+    series are indexed by the full dimension in odd characteristic and by
+    half of it in even characteristic; the others by n."""
+    if family in _ONE_SERIES or ch == "even":
+        return n
+    return 2 * n + 1 if family == "ao-odd" else 2 * n
+
+
+@lru_cache(maxsize=64)
+def _closed_form(family: str, ch: str, q, order: int) -> TruncatedSeries:
+    return affine_series(FamilyKey(family, ch), q, order)
+
+
+def affine_counts(family: str, q, n_max: int, ch: str = "") -> tuple:
+    """Closed-form k(AG) for the rows n = 0..n_max of a table family.
+
+    q is a field size (value mode: checked integers, the characteristic
+    follows q) or Q (symbolic mode: ch defaults to odd).  Each series is
+    built once per (family, characteristic, q, order), and the three
+    orthogonal families share one order, so they share their series.
+    """
+    if family not in TABLE_FAMILIES:
+        raise ValueError("unknown table family %r" % (family,))
+    symbolic = isinstance(q, QPoly)
+    if not ch:
+        ch = "odd" if symbolic or _to_int(q) % 2 else "even"
+    if family == "ao-odd" and ch == "even":
+        raise ValueError("odd-dimensional orthogonal groups need odd q")
+    if family in _ONE_SERIES:
+        seq = _closed_form(_ONE_SERIES[family], ch, q, n_max).coeffs
+        if not symbolic:
+            seq = [_to_int(c) for c in seq]
+    else:
+        order = row_index("ao-odd", ch, n_max)
+        plus, minus = ao_split(_closed_form("AO-sum", ch, q, order),
+                               _closed_form("AO-diff", ch, q, order), q=q)
+        seq = minus if family == "ao-minus" else plus
+    return tuple(seq[row_index(family, ch, n)] for n in range(n_max + 1))
+
+
+# ---------------------------------------------------------------------------
 # orbit-count assembly
 
 ORBIT_FAMILIES = ("AGL", "AGU", "ASp-odd", "AO-sum-odd", "AO-diff-odd")
@@ -417,6 +476,7 @@ def orbit_built_series(family: str, q, order: int = DEFAULT_ORDER) -> OrbitPiece
         ch = "odd"
     else:
         ch = "even" if _to_int(q) % 2 == 0 else "odd"
+        _check_value_q(FamilyKey("AGL", ch), q)
     if family.endswith("-odd") and ch != "odd":
         raise ValueError("%s needs odd q" % family)
     ring = _ring_for(q)

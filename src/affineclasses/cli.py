@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds as bounds_mod
-from .classcount import (FamilyKey, affine_recursive, affine_series, ao_split,
-                         classical_series, k_ah, necklace_product,
-                         orbit_built_series, sp_even_proof_form)
+from .classcount import (FamilyKey, affine_counts, affine_recursive,
+                         affine_series, classical_series, k_ah,
+                         necklace_product, orbit_built_series, row_index,
+                         sp_even_proof_form)
 from .oracle import (CapExceeded, DEFAULT_CAP, VERIFICATION_GRID, AffineGroup,
                      affine_order, build_affine, build_group, count_classes,
                      formula_check_o, orbit_sum_check)
@@ -187,42 +188,16 @@ def _half(x):
     return int(v)
 
 
-def _ao_indices(fam: str, ch: str, n_max: int):
-    """Series order and the coefficient index per table row."""
-    if fam == "ao-odd":
-        return 2 * n_max + 1, lambda n: 2 * n + 1
-    if ch == "odd":
-        return 2 * n_max, lambda n: 2 * n
-    return n_max, lambda n: n
-
-
-def closed_form_values(fam: str, ch: str, q, n_max: int):
-    if fam in ("agl", "agu", "asp"):
-        key = FamilyKey(TABLE_FAMILIES[fam][0], ch)
-        s = affine_series(key, q, n_max)
-        return [s.coeff(n) for n in range(1, n_max + 1)]
-    order, idx = _ao_indices(fam, ch, n_max)
-    s = affine_series(FamilyKey("AO-sum", ch), q, order)
-    d = affine_series(FamilyKey("AO-diff", ch), q, order)
-    plus, minus = ao_split(s, d, q=q)
-    seq = minus if fam == "ao-minus" else plus
-    return [seq[idx(n)] for n in range(1, n_max + 1)]
-
-
 def recursion_values(fam: str, ch: str, q, n_max: int):
     if fam in ("agl", "agu", "asp"):
         key = FamilyKey(TABLE_FAMILIES[fam][0], ch)
         seq = affine_recursive(key, q, n_max)
         return [seq[n] for n in range(1, n_max + 1)]
-    order, idx = _ao_indices(fam, ch, n_max)
-    s = affine_recursive(FamilyKey("AO-sum", ch), q, order)
-    d = affine_recursive(FamilyKey("AO-diff", ch), q, order)
+    idx = [row_index(fam, ch, n) for n in range(1, n_max + 1)]
+    s = affine_recursive(FamilyKey("AO-sum", ch), q, idx[-1])
+    d = affine_recursive(FamilyKey("AO-diff", ch), q, idx[-1])
     sign = -1 if fam == "ao-minus" else 1
-    out = []
-    for n in range(1, n_max + 1):
-        i = idx(n)
-        out.append(_half(s[i] + sign * d[i]))
-    return out
+    return [_half(s[i] + sign * d[i]) for i in idx]
 
 
 def orbit_values(fam: str, ch: str, q, n_max: int):
@@ -233,12 +208,11 @@ def orbit_values(fam: str, ch: str, q, n_max: int):
     if fam == "asp":
         total = orbit_built_series("ASp-odd", q, n_max).total()
         return [total.coeff(n) for n in range(1, n_max + 1)]
-    order, idx = _ao_indices(fam, ch, n_max)
-    s = orbit_built_series("AO-sum-odd", q, order).total()
-    d = orbit_built_series("AO-diff-odd", q, order).total()
+    idx = [row_index(fam, ch, n) for n in range(1, n_max + 1)]
+    s = orbit_built_series("AO-sum-odd", q, idx[-1]).total()
+    d = orbit_built_series("AO-diff-odd", q, idx[-1]).total()
     sign = -1 if fam == "ao-minus" else 1
-    return [_half(s.coeff(idx(n)) + sign * d.coeff(idx(n)))
-            for n in range(1, n_max + 1)]
+    return [_half(s.coeff(i) + sign * d.coeff(i)) for i in idx]
 
 
 def oracle_values(fam: str, q: int, n_max: int, cap: int):
@@ -252,7 +226,7 @@ def oracle_values(fam: str, q: int, n_max: int, cap: int):
 
 def _route_values(method, fam, ch, q, n_max, cap):
     if method == "closed-form":
-        return closed_form_values(fam, ch, q, n_max)
+        return affine_counts(fam, q, n_max, ch)[1:]
     if method == "recursion":
         return recursion_values(fam, ch, q, n_max)
     if method == "orbit-assembly":
@@ -312,7 +286,10 @@ def cmd_table(args) -> int:
     cap = resolve_cap(args.cap, cfg)
     records = []
     for method in methods:
-        values = _route_values(method, fam, ch, q, n_max, cap)
+        try:
+            values = _route_values(method, fam, ch, q, n_max, cap)
+        except ValueError as e:
+            raise UsageError(str(e))
         for n, value in enumerate(values, 1):
             records.append(OutputRecord(
                 display, ch, n, _dimension(fam, n), q_label, method,
@@ -433,20 +410,9 @@ def suite_cross_method(grid: str):
 
 
 def _grid_expected(family, dim, q):
-    ch = "odd" if q % 2 else "even"
-    if family == "GL":
-        return int(Fraction(affine_series(FamilyKey("AGL", ch), q, dim).coeff(dim)))
-    if family == "GU":
-        return int(Fraction(affine_series(FamilyKey("AGU", ch), q, dim).coeff(dim)))
-    if family == "Sp":
-        n = dim // 2
-        return int(Fraction(affine_series(FamilyKey("ASp", ch), q, n).coeff(n)))
-    order = dim if ch == "odd" else dim // 2
-    s = affine_series(FamilyKey("AO-sum", ch), q, order)
-    d = affine_series(FamilyKey("AO-diff", ch), q, order)
-    plus, minus = ao_split(s, d, q=q)
-    seq = minus if family == "O-" else plus
-    return seq[order if ch == "even" else dim]
+    fam = next(f for f, (_, g) in TABLE_FAMILIES.items() if g == family)
+    n = dim if fam in ("agl", "agu") else dim // 2
+    return affine_counts(fam, q, n)[n]
 
 
 def suite_oracle(grid: str):
@@ -468,14 +434,8 @@ def suite_oracle(grid: str):
     return cases
 
 
-def _symbolic_coeff(key: FamilyKey, n: int) -> QPoly:
-    return affine_series(key, Q, n).coeff(n)
-
-
-def _symbolic_ao(ch: str, order: int):
-    s = affine_series(FamilyKey("AO-sum", ch), Q, order)
-    d = affine_series(FamilyKey("AO-diff", ch), Q, order)
-    return ao_split(s, d)
+def _symbolic(fam: str, ch: str, n: int) -> QPoly:
+    return affine_counts(fam, Q, n, ch)[n]
 
 
 def suite_paper_values(grid: str):
@@ -484,21 +444,19 @@ def suite_paper_values(grid: str):
     half = Fraction(1, 2)
 
     cases.append(_case("paper-values/agl-dim1-symbolic",
-                       Q, _symbolic_coeff(FamilyKey("AGL", "odd"), 1)))
+                       Q, _symbolic("agl", "odd", 1)))
     cases.append(_case("paper-values/agu-dim1-symbolic",
-                       QPoly((0, 2)), _symbolic_coeff(FamilyKey("AGU", "odd"), 1)))
+                       QPoly((0, 2)), _symbolic("agu", "odd", 1)))
     cases.append(_case("paper-values/asp-dim2-symbolic",
-                       QPoly((4, 2)), _symbolic_coeff(FamilyKey("ASp", "odd"), 1)))
-    plus, _ = _symbolic_ao("odd", 3)
+                       QPoly((4, 2)), _symbolic("asp", "odd", 1)))
     cases.append(_case("paper-values/ao-dim1-symbolic",
-                       QPoly((3 * half, half)), plus[1]))
+                       QPoly((3 * half, half)), _symbolic("ao-odd", "odd", 0)))
     cases.append(_case("paper-values/ao-dim3-symbolic",
-                       QPoly((5 * half, 5, half)), plus[3]))
-    plus_even, minus_even = _symbolic_ao("even", 1)
+                       QPoly((5 * half, 5, half)), _symbolic("ao-odd", "odd", 1)))
     cases.append(_case("paper-values/ao-plus-even-dim2-symbolic",
-                       QPoly((0, 5 * half)), plus_even[1]))
+                       QPoly((0, 5 * half)), _symbolic("ao-plus", "even", 1)))
     cases.append(_case("paper-values/ao-minus-even-dim2-symbolic",
-                       QPoly((0, 5 * half)), minus_even[1]))
+                       QPoly((0, 5 * half)), _symbolic("ao-minus", "even", 1)))
 
     for q in (3, 5, 7, 9) if full else (3, 5):
         k = count_classes(build_group("SL", 2, q)).k
@@ -585,8 +543,11 @@ def cmd_bounds(args) -> int:
     if args.n_max < 1:
         raise UsageError("--n-max must be at least 1")
 
-    reports = bounds_mod.check_all_bounds(q_set, args.n_max)
-    ah = bounds_mod.check_ah_theorem(q_set, args.n_max)
+    try:
+        reports = bounds_mod.check_all_bounds(q_set, args.n_max)
+        ah = bounds_mod.check_ah_theorem(q_set, args.n_max)
+    except ValueError as e:
+        raise UsageError(str(e))
     constants = bounds_mod.certify_all() if args.constants else []
 
     lines = []

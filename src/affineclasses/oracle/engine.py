@@ -99,34 +99,6 @@ class AffineGroup:
         gi, vi = divmod(e, self.mv)
         return self.base.elements[gi], index_vec(vi, self.field.size, self.n)
 
-    def index_of(self, mat: tuple, vec: tuple) -> int:
-        gi = self.base.elements.index(mat)
-        return gi * self.mv + vec_index(vec, self.field.size)
-
-    def identity_index(self) -> int:
-        return self.base.identity_index() * self.mv
-
-    def product(self, e1: int, e2: int) -> int:
-        """(A1, v1)(A2, v2) = (A1 A2, v1 + A1 v2)."""
-        g1, v1 = divmod(e1, self.mv)
-        g2, v2 = divmod(e2, self.mv)
-        perms = self.base.perms
-        add, _ = self.tables()
-        g = self.base.perm_index()[p_compose(perms[g1], perms[g2])]
-        v = add[v1 * self.mv + perms[g1][v2]]
-        return g * self.mv + v
-
-    def inverse(self, e: int) -> int:
-        gi, vi = divmod(e, self.mv)
-        pinv = p_invert(self.base.perms[gi])
-        g = self.base.perm_index()[pinv]
-        _, neg = self.tables()
-        return g * self.mv + neg[pinv[vi]]
-
-    def iter_elements(self):
-        for e in range(self.order):
-            yield self.element(e)
-
     def __len__(self):
         return self.order
 

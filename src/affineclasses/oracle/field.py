@@ -34,9 +34,8 @@ class FiniteField:
         self.degree = degree
         self.size = p ** degree
         self.modulus = None if degree == 1 else self._find_modulus()
-        if degree == 2:
-            self._build_tables()
-        self._inv = self._build_inverses()
+        # x^(q-2) = x^-1 for x != 0
+        self._inv = [0] + [self.pow_el(x, self.size - 2) for x in range(1, self.size)]
         self._conj = [self.pow_el(x, p) for x in range(self.size)] if degree == 2 else None
 
     def _find_modulus(self):
@@ -46,35 +45,6 @@ class FiniteField:
                 if all((x * x + c1 * x + c0) % p for x in range(p)):
                     return (c0, c1)
         raise AssertionError("no irreducible quadratic found")
-
-    def _build_tables(self):
-        p = self.p
-        c0, c1 = self.modulus
-        size = self.size
-        mul = [[0] * size for _ in range(size)]
-        for x in range(size):
-            a1, b1 = x % p, x // p
-            for y in range(x, size):
-                a2, b2 = y % p, y // p
-                # (a1 + b1 t)(a2 + b2 t) with t^2 = -c1 t - c0
-                hi = b1 * b2
-                a = (a1 * a2 - hi * c0) % p
-                b = (a1 * b2 + a2 * b1 - hi * c1) % p
-                mul[x][y] = mul[y][x] = a + b * p
-        self._mul = mul
-
-    def _build_inverses(self):
-        inv = [0] * self.size
-        for x in range(1, self.size):
-            if inv[x]:
-                continue
-            for y in range(1, self.size):
-                if self.mul(x, y) == 1:
-                    inv[x], inv[y] = y, x
-                    break
-            else:
-                raise AssertionError("no inverse for %d" % x)
-        return inv
 
     # element operations -----------------------------------------------
 
@@ -94,9 +64,15 @@ class FiniteField:
         return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
+        p = self.p
         if self.degree == 1:
-            return (x * y) % self.p
-        return self._mul[x][y]
+            return (x * y) % p
+        # (a1 + b1 t)(a2 + b2 t) with t^2 = -c1 t - c0
+        c0, c1 = self.modulus
+        b1, a1 = divmod(x, p)
+        b2, a2 = divmod(y, p)
+        hi = b1 * b2
+        return (a1 * a2 - hi * c0) % p + ((a1 * b2 + a2 * b1 - hi * c1) % p) * p
 
     def inv(self, x: int) -> int:
         if x == 0:
@@ -108,8 +84,11 @@ class FiniteField:
 
     def pow_el(self, x: int, k: int) -> int:
         out = 1
-        for _ in range(k):
-            out = self.mul(out, x)
+        while k:
+            if k & 1:
+                out = self.mul(out, x)
+            x = self.mul(x, x)
+            k >>= 1
         return out
 
     def conj(self, x: int) -> int:
@@ -156,7 +135,7 @@ class FiniteField:
 
 @lru_cache(maxsize=None)
 def finite_field(p: int, degree: int = 1) -> FiniteField:
-    """Shared table-built field instances."""
+    """Shared field instances."""
     return FiniteField(p, degree)
 
 

@@ -544,17 +544,10 @@ class MatrixGroup:
         self._perm_index = None
         self._classes = None
 
-    @property
-    def mv(self) -> int:
-        return self.field.size ** self.n
-
     def perm_index(self) -> dict:
         if self._perm_index is None:
             self._perm_index = {p: i for i, p in enumerate(self.perms)}
         return self._perm_index
-
-    def identity_index(self) -> int:
-        return self.perm_index()[identity_perm(self.mv)]
 
     def preserves_form(self, mat: tuple) -> bool:
         return preserves_form(self.field, self.form, mat, self.n)

@@ -313,10 +313,6 @@ def lemma_sum(identity: str, n_max: int):
     return out
 
 
-def _odd(i):
-    return i % 2 == 1
-
-
 @lru_cache(maxsize=None)
 def lemma_rhs(identity: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Closed-form right sides of the partition identities, truncated."""

@@ -10,15 +10,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rat = Fraction
-
 RATIONAL = "rational"
 QPOLY = "q-polynomial"
 
 DEFAULT_ORDER = 40
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class QPoly:
@@ -310,27 +307,6 @@ class TruncatedSeries:
             out[m] = -inv0 * acc
         return TruncatedSeries(self.ring, n, out)
 
-    def substitute_power(self, d: int):
-        """Return the series a(u^d), truncated at the same order."""
-        if d < 1:
-            raise ValueError("substitute_power wants d >= 1")
-        out = [_coerce(self.ring, 0)] * (self.order + 1)
-        for i, x in enumerate(self.coeffs):
-            if i * d > self.order:
-                break
-            out[i * d] = x
-        return TruncatedSeries(self.ring, self.order, out)
-
-    def eval_real_at(self, r) -> Fraction:
-        """Exact value of the truncated polynomial at u=r (rational ring only)."""
-        if self.ring != RATIONAL:
-            raise TypeError("eval_real_at needs a rational-coefficient series")
-        r = Fraction(r)
-        acc = _ZERO
-        for x in reversed(self.coeffs):
-            acc = acc * r + x
-        return acc
-
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.order > 5 else ""
@@ -445,28 +421,3 @@ def geometric(c, j: int, ring=RATIONAL, order=DEFAULT_ORDER) -> TruncatedSeries:
         k += j
     return TruncatedSeries(ring, order, out)
 
-
-# spec-named functional aliases
-
-def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a + b
-
-
-def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def invert(a: TruncatedSeries) -> TruncatedSeries:
-    return a.invert()
-
-
-def substitute_power(a: TruncatedSeries, d: int) -> TruncatedSeries:
-    return a.substitute_power(d)
-
-
-def coeff(a: TruncatedSeries, n):
-    return a.coeff(n)
-
-
-def eval_real_at(a: TruncatedSeries, r) -> Fraction:
-    return a.eval_real_at(r)

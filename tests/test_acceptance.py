@@ -18,9 +18,8 @@ import pytest
 from affineclasses.bounds import (BOUND_SPECS, Q_ALL, certify_all,
                                   check_ah_theorem, check_all_bounds, k_agl,
                                   k_ao_even_dim, k_ao_odd_dim, k_asp)
-from affineclasses.classcount import FamilyKey, affine_series, k_ah
-from affineclasses.cli import (_symbolic_ao, suite_cross_method,
-                               suite_identities, suite_oracle)
+from affineclasses.classcount import FamilyKey, affine_counts, affine_series, k_ah
+from affineclasses.cli import suite_cross_method, suite_identities, suite_oracle
 from affineclasses.oracle import build_affine, build_group, count_classes
 from affineclasses.series import Q, QPoly
 
@@ -57,12 +56,11 @@ def test_criterion_1_golden_values():
     assert _coeff1("AGL", "odd") == Q
     assert _coeff1("AGU", "odd") == QPoly((0, 2))
     assert _coeff1("ASp", "odd") == QPoly((4, 2))
-    plus, _ = _symbolic_ao("odd", 3)
-    assert plus[1] == QPoly((3 * half, half))
-    assert plus[3] == QPoly((5 * half, 5, half))
-    plus_even, minus_even = _symbolic_ao("even", 1)
-    assert plus_even[1] == QPoly((0, 5 * half))
-    assert minus_even[1] == QPoly((0, 5 * half))
+    ao_odd = affine_counts("ao-odd", Q, 1)   # dimensions 1 and 3
+    assert ao_odd[0] == QPoly((3 * half, half))
+    assert ao_odd[1] == QPoly((5 * half, 5, half))
+    assert affine_counts("ao-plus", Q, 1, "even")[1] == QPoly((0, 5 * half))
+    assert affine_counts("ao-minus", Q, 1, "even")[1] == QPoly((0, 5 * half))
 
     # fixed numeric values
     assert k_ah(3, 1, 2)[2] == 10

@@ -7,18 +7,20 @@ evaluated at u = 1/sqrt(3)); each certified enclosure must contain its
 reference.
 """
 
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from affineclasses import bounds
-from affineclasses.bounds import (BOUND_SPECS, CONSTANT_IDS, BoundSpec,
+from affineclasses import classcount
+from affineclasses.bounds import (BOUND_SPECS, CONSTANT_IDS, Q_ALL, BoundSpec,
                                   Interval, bound_spec, certify_all,
                                   certify_constant, check_ah_theorem,
                                   check_all_bounds, check_bound,
                                   geometric_factor_product, k_agl, k_agu,
                                   k_ao_even_dim, k_ao_odd_dim, k_asp)
-from affineclasses.classcount import FamilyKey, affine_recursive
+from affineclasses.classcount import FamilyKey, affine_counts, affine_recursive
 
 # independently computed (40-digit arithmetic, different algorithm)
 CONSTANT_REFERENCES = {
@@ -234,7 +236,7 @@ class TestBoundGrid:
 
     def test_violation_path(self):
         bad = BoundSpec("too-tight", "AGL", "any", "k(AGL) <= q^n, false",
-                        k_agl, lambda q, n: q ** n, "le")
+                        partial(affine_counts, "agl"), lambda q, n: q ** n, "le")
         rep = check_bound(bad, q_set=(2, 3), n_max=4)
         assert not rep.ok
         assert all(c["verdict"] == "VIOLATION" for c in rep.cells
@@ -243,8 +245,8 @@ class TestBoundGrid:
     def test_exception_value_mismatch_is_violation(self):
         bad = BoundSpec("wrong-exception", "ASp", "odd",
                         "q^(2n) with a wrong listed value",
-                        k_asp, lambda q, n: q ** (2 * n), "le",
-                        exceptions={(1, 3): 11})
+                        partial(affine_counts, "asp"), lambda q, n: q ** (2 * n),
+                        "le", exceptions={(1, 3): 11})
         rep = check_bound(bad, q_set=(3,), n_max=2)
         assert [c["verdict"] for c in rep.cells] == ["VIOLATION", "holds"]
 
@@ -265,6 +267,19 @@ class TestBoundGrid:
     def test_odd_dim_needs_odd_q(self):
         with pytest.raises(ValueError):
             k_ao_odd_dim(2, 1)
+
+    def test_each_series_is_built_once(self, monkeypatch):
+        calls = Counter()
+        real = classcount.affine_series
+
+        def counted(key, q, order):
+            calls[key.family, key.characteristic, q] += 1
+            return real(key, q, order)
+
+        monkeypatch.setattr(classcount, "affine_series", counted)
+        classcount._closed_form.cache_clear()
+        check_all_bounds(Q_ALL, 25)
+        assert calls and max(calls.values()) == 1
 
 
 class TestAHTheorem:

@@ -142,6 +142,10 @@ class TestTableUsageErrors:
         ("table", "--family", "agl", "--q", "2", "--methods", "sorcery"),
         ("table", "--family", "agl", "--symbolic-q", "--methods", "oracle"),
         ("table", "--family", "agl", "--q", "2", "--n-max", "0"),
+        ("table", "--family", "agl", "--q", "15"),            # not a prime power
+        ("table", "--family", "agl", "--q", "6"),
+        ("table", "--family", "agu", "--q", "4", "--methods", "oracle"),
+        ("bounds", "--q-set", "6,15"),
     ])
     def test_exit_2(self, capsys, argv):
         code, _, err = run(capsys, *argv)

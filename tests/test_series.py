@@ -92,29 +92,11 @@ class TestOps:
         with pytest.raises(ZeroDivisionError):
             series([Q, 1], QPOLY).invert()
 
-    def test_substitute_power(self):
-        a = series([1, 1], order=6)
-        assert a.substitute_power(2) == series([1, 0, 1], order=6)
-        b = series([2, 3, 5, 7], order=6)
-        assert b.substitute_power(1) == b
-        geo = geometric(1, 1, order=9)
-        assert geo.substitute_power(3) == geometric(1, 3, order=9)
-        with pytest.raises(ValueError):
-            a.substitute_power(0)
-
     def test_coeff(self):
         a = series([1, 0, 3])
         assert a.coeff(2) == 3
         with pytest.raises(IndexError):
             a.coeff(9)
-
-    def test_eval_real_at(self):
-        assert series([4, 1, 1]).eval_real_at(0) == 4
-        geo = geometric(1, 1, order=39)
-        # truncated geometric series at 1/2 is 2 - 2^-39
-        assert abs(geo.eval_real_at(Fraction(1, 2)) - 2) == Fraction(1, 2**39)
-        with pytest.raises(TypeError):
-            series([1], QPOLY).eval_real_at(Fraction(1, 2))
 
 
 class TestApplyProduct:
