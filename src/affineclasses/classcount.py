@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 
+from .primes import prime_power
 from .series import (
     DEFAULT_ORDER,
     FactorFamily,
@@ -192,14 +192,7 @@ def _check_value_q(key: FamilyKey, q):
     if isinstance(q, QPoly):
         return
     qi = _to_int(q)
-    if qi < 2:
-        raise ValueError("q must be at least 2")
-    p = next((d for d in range(2, isqrt(qi) + 1) if qi % d == 0), qi)
-    r = qi
-    while r % p == 0:
-        r //= p
-    if r != 1:
-        raise ValueError("q must be a prime power, got %d" % qi)
+    prime_power(qi)
     if key.characteristic == "odd" and qi % 2 == 0:
         raise ValueError("odd-characteristic key needs odd q, got %d" % qi)
     if key.characteristic == "even" and (qi & (qi - 1)):

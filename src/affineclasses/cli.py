@@ -626,7 +626,7 @@ def cmd_oracle(args) -> int:
         base = build_group(family, args.n, args.q, cap=cap)
     except ValueError as e:
         raise UsageError(str(e))
-    per_class, k_affine = orbit_sum_check(base)
+    per_class, k_affine = orbit_sum_check(base, cap)
     dec = count_classes(base)
 
     total_affine = base.order * base.field.size ** args.n

@@ -1,12 +1,14 @@
 """Conjugacy class counting by explicit orbit computation.
 
-Matrix groups are scanned through per-generator conjugation index tables;
-affine groups V x| G are scanned without materializing their elements, via
-pairs e = (group index) * |V| + (vector index) and per-generator descriptors
-(a conjugation map on the group part, a per-element translation offset, a
-permutation of V).  Conjugating (g, v) by (h, w) gives
-(h g h^-1, w - (h g h^-1) w + h v), so closing under the base group
-generators and a translation basis of V reaches the whole conjugacy class.
+Matrix groups are scanned through per-generator conjugation index tables.
+Affine groups V x| G are scanned on their translation quotient, without
+materializing their elements.  Conjugating (g, v) by the translation w gives
+(g, v + (1-g)w), so the translation orbit of (g, v) is the coset
+v + [g,V] of [g,V] = (g-1)V.  A state is a pair (g, c) with c the least
+member of such a coset; conjugation by h in G sends it to
+(h g h^-1, least member of h c + [h g h^-1, V]).  The G-orbits of states
+are the affine classes, each state standing for |[g,V]| elements, and there
+are |G| times (number of G-orbits on V) states rather than |G|*|V| pairs.
 """
 
 from __future__ import annotations
@@ -19,30 +21,35 @@ from ..partitions import Partition, d_stat, enum_partitions, o_gl, o_gu
 from . import kernels
 from .field import FiniteField, field_for_order
 from .groups import (CapExceeded, DEFAULT_CAP, MatrixGroup, _field_for,
-                     build_group, expected_order, identity_perm, index_vec,
-                     mat_identity, mat_mul, mat_rank, mat_sub, p_compose,
-                     p_invert, vec_index)
+                     build_group, expected_order, index_vec, mat_identity,
+                     mat_mul, mat_rank, mat_sub, p_compose, vec_index)
 
 
-@lru_cache(maxsize=None)
-def _vector_tables(F: FiniteField, n: int):
+def _vector_tables(F: FiniteField, n: int, cap: int):
     """Flat addition table add[a*mv+b] and negation table for the points
-    of F^n; bytes when the point count fits, arrays otherwise."""
+    of F^n, once the |V|^2 addition table is checked against the cap."""
+    mv = F.size ** n
+    if mv * mv > cap:
+        raise CapExceeded("vector addition table of %d entries exceeds cap %d"
+                          % (mv * mv, cap))
+    return _point_tables(F, n)
+
+
+@lru_cache(maxsize=4)
+def _point_tables(F: FiniteField, n: int):
     size = F.size
     mv = size ** n
     vecs = [index_vec(i, size, n) for i in range(mv)]
-    flat = [0] * (mv * mv)
+    add = array("i", [0]) * (mv * mv)
     for a in range(mv):
         va = vecs[a]
         row = a * mv
         for b in range(a, mv):
             s = vec_index(tuple(F.add(x, y) for x, y in zip(va, vecs[b])), size)
-            flat[row + b] = s
-            flat[b * mv + a] = s
-    neg = [vec_index(tuple(F.neg(x) for x in v), size) for v in vecs]
-    if mv <= 256:
-        return bytes(flat), bytes(neg)
-    return array("i", flat), array("i", neg)
+            add[row + b] = s
+            add[b * mv + a] = s
+    neg = array("i", [vec_index(tuple(F.neg(x) for x in v), size) for v in vecs])
+    return add, neg
 
 
 class ClassDecomposition:
@@ -90,10 +97,8 @@ class AffineGroup:
         if self.order > cap:
             raise CapExceeded("affine group order %d exceeds cap %d"
                               % (self.order, cap))
+        self.cap = cap
         self._classes = None
-
-    def tables(self):
-        return _vector_tables(self.field, self.n)
 
     def element(self, e: int):
         gi, vi = divmod(e, self.mv)
@@ -133,74 +138,78 @@ VERIFICATION_GRID = tuple(
 )
 
 
-def _conj_table(group: MatrixGroup, hp):
-    """Index map i -> index of h g_i h^-1."""
-    idx = group.perm_index()
-    hinv = p_invert(hp)
-    out = array("i", bytes(4 * group.order))
-    for i, p in enumerate(group.perms):
-        out[i] = idx[p_compose(p_compose(hp, p), hinv)]
-    return out
-
-
 def _matrix_classes(group: MatrixGroup) -> ClassDecomposition:
     N = group.order
-    gens = group.gen_perms
-    t_flat = array("i", bytes(4 * len(gens) * N))
-    for k, hp in enumerate(gens):
-        t_flat[k * N:(k + 1) * N] = _conj_table(group, hp)
-    reps_idx, sizes = kernels.orbit_scan(t_flat, len(gens), N)
+    reps_idx, sizes = kernels.orbit_scan(group.conj_table(), len(group.gen_perms), N)
     reps = [group.elements[i] for i in reps_idx]
     return ClassDecomposition(N, reps, sizes, reps_idx)
 
 
-def _translation_basis(F: FiniteField, n: int):
-    """Point indices of a basis of F^n as a module over the prime field."""
-    scalars = [1] if F.degree == 1 else [1, F.p]
-    return [c * F.size ** j for j in range(n) for c in scalars]
+def _commutator_cosets(group: MatrixGroup, add, neg):
+    """The subspaces [g,V] = (g-1)V as ids 0, 1, ...: sub_of[i] is the id
+    for element i; per id, the least member of every point's coset
+    (labels) and those least members in ascending order (cosets).
+
+    [g,V] is spanned by the columns (g-1)e_j, so it is reached from the
+    zero subspace by adding one column at a time; each step (subspace,
+    vector) -> subspace is computed once."""
+    F, n = group.field, group.n
+    mv = F.size ** n
+    basis = [F.size ** j for j in range(n)]
+    spaces = [(0,)]
+    ids = {(0,): 0}
+    steps = {}
+
+    def extend(s, w):
+        space = spaces[s]
+        if w in space:
+            return s
+        wv = index_vec(w, F.size, n)
+        line = [vec_index(tuple(F.mul(k, x) for x in wv), F.size)
+                for k in range(1, F.size)]
+        key = tuple(sorted(set(space).union(
+            add[x * mv + y] for x in space for y in line)))
+        if key not in ids:
+            ids[key] = len(spaces)
+            spaces.append(key)
+        return ids[key]
+
+    sub_of = array("i", bytes(4 * group.order))
+    for i, p in enumerate(group.perms):
+        s = 0
+        for b in basis:
+            w = add[p[b] * mv + neg[b]]
+            step = s * mv + w
+            t = steps.get(step)
+            if t is None:
+                t = steps[step] = extend(s, w)
+            s = t
+        sub_of[i] = s
+
+    labels, cosets = [], []
+    for space in spaces:
+        label = [-1] * mv
+        reps = []
+        for v in range(mv):
+            if label[v] < 0:
+                reps.append(v)
+                for w in space:
+                    label[add[v * mv + w]] = v
+        labels.append(label)
+        cosets.append(reps)
+    return sub_of, labels, cosets
 
 
 def _affine_classes(ag: AffineGroup) -> ClassDecomposition:
     g = ag.base
-    mg, mv = g.order, ag.mv
-    add, neg = ag.tables()
-    perms = g.perms
-    wide = mv > 256
-
-    cgs, oms, hvs = [], [], []
-    ident_cg = array("i", range(mg))
-    zero_om = array("i", bytes(4 * mg))
-    ident_hv = identity_perm(mv)
+    mv = ag.mv
+    add, neg = _vector_tables(ag.field, ag.n, ag.cap)
+    sub_of, labels, cosets = _commutator_cosets(g, add, neg)
+    points = array("i")
     for hp in g.gen_perms:
-        cgs.append(_conj_table(g, hp))
-        oms.append(zero_om)
-        hvs.append(hp)
-    for wb in _translation_basis(ag.field, ag.n):
-        om = array("i", bytes(4 * mg))
-        for i, pm in enumerate(perms):
-            om[i] = add[wb * mv + neg[pm[wb]]] * mv
-        cgs.append(ident_cg)
-        oms.append(om)
-        hvs.append(ident_hv)
-
-    ngen = len(cgs)
-    cg_flat = array("i")
-    om_flat = array("i")
-    for cg in cgs:
-        cg_flat.extend(cg)
-    for om in oms:
-        om_flat.extend(om)
-    if wide:
-        stride = mv
-        hv_flat = array("i")
-        for hv in hvs:
-            hv_flat.extend(hv)
-    else:
-        stride = 256
-        hv_flat = b"".join(hvs)
-
+        points.extend(hp[:mv])
     reps_e, sizes = kernels.affine_orbit_scan(
-        cg_flat, om_flat, hv_flat, add, ngen, mg, mv, stride)
+        g.conj_table(), points, sub_of, labels, cosets, g.order, mv)
     reps = [ag.element(e) for e in reps_e]
     return ClassDecomposition(ag.order, reps, sizes, reps_e)
 
@@ -219,13 +228,13 @@ def count_classes(group) -> ClassDecomposition:
 # ---------------------------------------------------------------------------
 # orbit sums: the class count of V x| G, one class of G at a time
 
-def orbit_sum_check(group: MatrixGroup):
+def orbit_sum_check(group: MatrixGroup, cap: int = DEFAULT_CAP):
     """For each class representative g of G: the number of orbits of its
     centralizer on V/[g,V], where [g,V] = (g-1)V.  Returns (per-class orbit
     counts, their sum); the sum equals the class count of V x| G."""
     F, n = group.field, group.n
     mv = F.size ** n
-    add, neg = _vector_tables(F, n)
+    add, neg = _vector_tables(F, n, cap)
     perms = group.perms
     dec = count_classes(group)
     out = []

@@ -10,16 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1 if i == 2 else 2
-    return True
+from ..primes import is_prime, prime_power
 
 
 class FiniteField:
@@ -141,9 +132,7 @@ def finite_field(p: int, degree: int = 1) -> FiniteField:
 
 def field_for_order(q: int) -> FiniteField:
     """The field with q elements, for q a prime or the square of a prime."""
-    if is_prime(q):
-        return finite_field(q, 1)
-    r = int(round(q ** 0.5))
-    if r * r == q and is_prime(r):
-        return finite_field(r, 2)
-    raise ValueError("q must be a prime or the square of a prime, got %r" % (q,))
+    p, k = prime_power(q)
+    if k > 2:
+        raise ValueError("q must be a prime or the square of a prime, got %r" % (q,))
+    return finite_field(p, k)

@@ -22,7 +22,10 @@ Forms are fixed once:
 
 from __future__ import annotations
 
-from .field import FiniteField, field_for_order, finite_field, is_prime
+from array import array
+
+from ..primes import prime_power
+from .field import FiniteField, field_for_order, finite_field
 
 DEFAULT_CAP = 2_000_000
 
@@ -542,12 +545,26 @@ class MatrixGroup:
         self.gen_perms = gen_perms
         self.order = len(elements)
         self._perm_index = None
+        self._conj_table = None
         self._classes = None
 
     def perm_index(self) -> dict:
         if self._perm_index is None:
             self._perm_index = {p: i for i, p in enumerate(self.perms)}
         return self._perm_index
+
+    def conj_table(self) -> array:
+        """For each generator h in turn, the index map i -> index of
+        h g_i h^-1, all maps back to back (map k at offset k * order)."""
+        if self._conj_table is None:
+            idx = self.perm_index()
+            out = array("i")
+            for hp in self.gen_perms:
+                hinv = p_invert(hp)
+                out.extend(idx[p_compose(p_compose(hp, p), hinv)]
+                           for p in self.perms)
+            self._conj_table = out
+        return self._conj_table
 
     def preserves_form(self, mat: tuple) -> bool:
         return preserves_form(self.field, self.form, mat, self.n)
@@ -562,7 +579,7 @@ class MatrixGroup:
 
 def _field_for(family: str, q: int) -> FiniteField:
     if family in ("GU", "SU"):
-        if not is_prime(q):
+        if prime_power(q)[1] != 1:
             raise ValueError("unitary groups need a prime q (field degree <= 2)")
         return finite_field(q, 2)
     return field_for_order(q)
@@ -609,6 +626,12 @@ def build_group(family: str, n: int, q: int, cap: int = DEFAULT_CAP) -> MatrixGr
     expected = expected_order(family, n, q)
     if expected > cap:
         raise CapExceeded("group order %d exceeds cap %d" % (expected, cap))
+    mv = F.size ** n
+    if mv > 256 and expected * mv > 32 * cap:
+        # up to 256 points an element is 256 bytes; beyond, it keeps |V|
+        # 8-byte point images, so allow the same cap * 256 bytes
+        raise CapExceeded("group order %d on %d points stores %d point images, "
+                          "over 32 * cap %d" % (expected, mv, expected * mv, cap))
 
     if family in ("O+", "O-") and q % 2:
         return _build_odd_orthogonal(family, n, q, F, expected)

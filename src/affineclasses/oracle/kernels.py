@@ -1,34 +1,78 @@
-"""Kernel dispatch: compiled orbit scans when the extension is available,
-pure Python otherwise.
+"""Orbit kernels of the brute-force oracle, in pure Python.
 
-Set AFFINECLASSES_PURE=1 to force the pure implementation.  Point counts
-above 256 always run pure, because the compiled kernels store translation
-tables as bytes.
+Both kernels scan their states in ascending index order and close each
+unvisited state under a fixed list of maps, so every orbit is reported by
+its least index, together with its size.
 """
 
-import os
-
-from . import _kernels_py
-
-try:
-    from . import _speedups
-except ImportError:
-    _speedups = None
-
-_FORCE_PURE = os.environ.get("AFFINECLASSES_PURE", "").strip() not in ("", "0")
-COMPILED = _speedups is not None and not _FORCE_PURE
-BACKEND = "compiled" if COMPILED else "pure"
+#: the one implementation; benchmark reports record it
+BACKEND = "pure"
 
 
 def orbit_scan(t_flat, ngen, size):
-    if COMPILED:
-        return _speedups.orbit_scan(t_flat, ngen, size)
-    return _kernels_py.orbit_scan(t_flat, ngen, size)
+    """Orbits of range(size) under ngen maps stored back to back in t_flat:
+    map k sends e to t_flat[k*size + e]."""
+    visited = bytearray(size)
+    reps = []
+    sizes = []
+    offs = [k * size for k in range(ngen)]
+    for e0 in range(size):
+        if visited[e0]:
+            continue
+        visited[e0] = 1
+        stack = [e0]
+        cnt = 0
+        while stack:
+            e = stack.pop()
+            cnt += 1
+            for off in offs:
+                e2 = t_flat[off + e]
+                if not visited[e2]:
+                    visited[e2] = 1
+                    stack.append(e2)
+        reps.append(e0)
+        sizes.append(cnt)
+    return reps, sizes
 
 
-def affine_orbit_scan(cg_flat, om_flat, hv_flat, add_tab, ngen, mg, mv, stride):
-    if COMPILED and mv <= 256:
-        return _speedups.affine_orbit_scan(cg_flat, om_flat, hv_flat, add_tab,
-                                           ngen, mg, mv, stride)
-    return _kernels_py.affine_orbit_scan(cg_flat, om_flat, hv_flat, add_tab,
-                                         ngen, mg, mv, stride)
+def affine_orbit_scan(conj, points, sub_of, labels, cosets, mg, mv):
+    """Classes of V x| G as orbits of translation-quotient states.
+
+    The state e = g*mv + c stands for the coset c + [g,V] of the subspace
+    [g,V] = (g-1)V, c being the coset's least member.  Element g has
+    subspace sub_of[g]; labels[s][v] is the least member of v + s and
+    cosets[s] lists those least members in ascending order.  Generator k
+    of G sends (g, c) to (g2, labels[sub_of[g2]][points[k*mv + c]]) with
+    g2 = conj[k*mg + g].  An orbit of states is one class of V x| G with
+    |[g,V]| elements per state, and its first state g*mv + c is the least
+    index g*|V| + v of the class.  Returns (those least indices, class
+    sizes).
+    """
+    label_of = [labels[s] for s in sub_of]
+    gens = [(k * mg, k * mv) for k in range(len(points) // mv)]
+    visited = bytearray(mg * mv)
+    reps = []
+    sizes = []
+    for g0 in range(mg):
+        reps0 = cosets[sub_of[g0]]
+        span = mv // len(reps0)
+        base = g0 * mv
+        for c0 in reps0:
+            e0 = base + c0
+            if visited[e0]:
+                continue
+            visited[e0] = 1
+            stack = [e0]
+            cnt = 0
+            while stack:
+                g, c = divmod(stack.pop(), mv)
+                cnt += 1
+                for goff, voff in gens:
+                    g2 = conj[goff + g]
+                    e2 = g2 * mv + label_of[g2][points[voff + c]]
+                    if not visited[e2]:
+                        visited[e2] = 1
+                        stack.append(e2)
+            reps.append(e0)
+            sizes.append(cnt * span)
+    return reps, sizes

@@ -4,11 +4,16 @@ Everything goes through main(argv) so the tests see exactly what a shell
 user sees: rendered text, exit codes, config and environment handling.
 """
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affineclasses.cli import (CAP_ENV, CSV_COLUMNS, SUITES, main)
+from affineclasses.cli import (CAP_ENV, CSV_COLUMNS, ORACLE_FAMILIES, SUITES,
+                               TABLE_FAMILIES, main)
 
 
 def run(capsys, *argv):
@@ -372,8 +377,64 @@ class TestOracle:
                            "--n", "3")
         assert code == 2 and "odd" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("oracle", "--family", "agl", "--q", "-4", "--n", "1"),
+        ("oracle", "--family", "agu", "--q", "4", "--n", "1"),
+        ("oracle", "--family", "agl", "--q", "8", "--n", "1"),   # degree 3
+    ])
+    def test_exit_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("cap,reason", [
+        ("2000", "point images"),           # 65,792 images of GL(1,257)
+        ("60000", "66049 entries"),         # its |V|^2 addition table
+        ("66000", "66049 entries"),
+    ])
+    def test_allocations_checked_against_cap(self, capsys, cap, reason):
+        code, _, err = run(capsys, "oracle", "--family", "agl", "--q", "257",
+                           "--n", "1", "--cap", cap)
+        assert code == 3 and reason in err
+
+    def test_point_images_allowed_past_the_cap(self, capsys, monkeypatch):
+        # 6,840 x 361 point images exceed the default cap but fit 32 * cap
+        monkeypatch.delenv(CAP_ENV, raising=False)
+        code, out, _ = run(capsys, "oracle", "--family", "asl", "--q", "19",
+                           "--n", "2", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["k"] == sum(c["orbits"] for c in payload["classes"]) == 42
+        assert payload["direct_enumeration"] is None
+
     def test_cap_exceeded(self, capsys, monkeypatch):
         monkeypatch.delenv(CAP_ENV, raising=False)
         code, _, err = run(capsys, "oracle", "--family", "agl", "--q", "5",
                            "--n", "4")
         assert code == 3 and "cap" in err
+
+
+# ---------------------------------------------------------------------------
+# any argv: an exit code, never a traceback
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("oracle"), st.sampled_from(sorted(ORACLE_FAMILIES)),
+              st.just("--n"), st.just(None)),
+    st.tuples(st.just("table"), st.sampled_from(sorted(TABLE_FAMILIES)),
+              st.just("--n-max"),
+              st.sampled_from([None, "oracle", "closed-form,oracle"]))),
+    st.integers(-5, 30), st.integers(-1, 4), st.sampled_from([-1, 0, 50, 5000]))
+def test_any_argv_exits_cleanly(cmd, q, n, cap):
+    command, family, n_flag, methods = cmd
+    argv = [command, "--family", family, "--q", str(q), n_flag, str(n),
+            "--cap", str(cap)]
+    if methods:
+        argv += ["--methods", methods]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:      # argparse rejects its input this way
+            code = e.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -13,17 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affineclasses.classcount import FamilyKey, affine_series, ao_split
-from affineclasses.oracle import (CapExceeded, VERIFICATION_GRID, build_affine,
-                                  build_group, count_classes, expected_order,
-                                  field_for_order, finite_field,
-                                  formula_check_o, gl_direct_class_sum,
-                                  mat_det, mat_identity, mat_mul,
-                                  orbit_sum_check, preserves_form,
+from affineclasses.oracle import (AffineGroup, CapExceeded, VERIFICATION_GRID,
+                                  build_affine, build_group, count_classes,
+                                  expected_order, field_for_order,
+                                  finite_field, formula_check_o,
+                                  gl_direct_class_sum, mat_det, mat_identity,
+                                  mat_mul, orbit_sum_check, preserves_form,
                                   unipotent_partition)
+from affineclasses.oracle import groups as groups_mod
 from affineclasses.oracle import kernels as kernel_mod
-from affineclasses.oracle import _kernels_py
-from affineclasses.oracle.groups import (_greedy_generators, p_compose,
-                                        p_invert, perm_from_matrix)
+from affineclasses.oracle.groups import (_greedy_generators, index_vec,
+                                        mat_vec, p_compose, p_invert,
+                                        perm_from_matrix, vec_index)
 
 
 def affine_count(family, characteristic, q, n):
@@ -203,6 +204,8 @@ class TestBuildGroup:
             build_affine("Sp", 4, 3)       # 4.2e6 > default cap
         with pytest.raises(CapExceeded):
             build_affine("GL", 2, 2, cap=20)
+        with pytest.raises(CapExceeded):
+            build_group("SU", 2, 17)       # 4896 elements x 83521 points
 
 
 # ---------------------------------------------------------------------------
@@ -414,43 +417,91 @@ class TestDirectClassSum:
 
 
 # ---------------------------------------------------------------------------
-# kernels: the two implementations agree
+# kernels and the translation quotient
+
+def reference_affine_classes(ag):
+    """Least index and size of every class of V x| G, by closing the
+    materialized pairs (A, v) under conjugation, with no quotient.
+
+    (h, w) conjugates (g, v) to (h g h^-1, h v + w - h g h^-1 w).  The
+    generators are (h, 0) for the base generators h and (1, c e_j) for c in
+    a basis of F over its prime field, which generate V x| G."""
+    base, F, n = ag.base, ag.field, ag.n
+    index = {m: i for i, m in enumerate(base.elements)}
+    ident = mat_identity(n)
+    zero = (0,) * n
+    gens = [(h, next(m for m in base.elements if mat_mul(F, h, m, n) == ident), zero)
+            for h in base.generators]
+    scalars = [1] if F.degree == 1 else [1, F.p]
+    gens += [(ident, ident, tuple(c if k == j else 0 for k in range(n)))
+             for j in range(n) for c in scalars]
+
+    def conjugate(e, h, hinv, w):
+        gi, vi = divmod(e, ag.mv)
+        g = base.elements[gi]
+        g2 = mat_mul(F, mat_mul(F, h, g, n), hinv, n)
+        hv = mat_vec(F, h, index_vec(vi, F.size, n), n)
+        v2 = tuple(F.sub(F.add(a, b), c)
+                   for a, b, c in zip(hv, w, mat_vec(F, g2, w, n)))
+        return index[g2] * ag.mv + vec_index(v2, F.size)
+
+    seen = set()
+    reps, sizes = [], []
+    for e0 in range(ag.order):
+        if e0 in seen:
+            continue
+        orbit = {e0}
+        stack = [e0]
+        while stack:
+            e = stack.pop()
+            for h, hinv, w in gens:
+                e2 = conjugate(e, h, hinv, w)
+                if e2 not in orbit:
+                    orbit.add(e2)
+                    stack.append(e2)
+        seen |= orbit
+        reps.append(e0)
+        sizes.append(len(orbit))
+    return reps, sizes
+
 
 class TestKernels:
     def test_backend_flag(self):
-        assert kernel_mod.BACKEND in ("pure", "compiled")
+        assert kernel_mod.BACKEND == "pure"
 
-    def test_pure_matches_dispatch_on_matrix_scan(self):
-        g = build_group("Sp", 4, 2)
-        dec = count_classes(g)
-        # rebuild through the pure kernel directly
-        from affineclasses.oracle.engine import _conj_table
-        from array import array
-        N = g.order
-        t_flat = array("i", bytes(4 * len(g.gen_perms) * N))
-        for kk, hp in enumerate(g.gen_perms):
-            t_flat[kk * N:(kk + 1) * N] = _conj_table(g, hp)
-        reps, sizes = _kernels_py.orbit_scan(t_flat, len(g.gen_perms), N)
-        assert reps == dec.rep_indices
-        assert sizes == dec.sizes
-
-    def test_pure_matches_dispatch_on_affine_scan(self):
-        ag = build_affine("GU", 2, 2)
+    @pytest.mark.parametrize("family,n,q", [
+        ("GL", 2, 3), ("GU", 2, 2), ("Sp", 2, 3), ("O", 3, 3), ("O-", 4, 2),
+        ("SL", 2, 3), ("GU", 1, 3), ("GL", 1, 263)])
+    def test_quotient_scan_matches_full_closure(self, family, n, q):
+        ag = build_affine(family, n, q)
         dec = count_classes(ag)
-        old = kernel_mod.COMPILED
-        try:
-            kernel_mod.COMPILED = False
-            ag2 = build_affine("GU", 2, 2)
-            dec2 = count_classes(ag2)
-        finally:
-            kernel_mod.COMPILED = old
-        assert dec.rep_indices == dec2.rep_indices
-        assert dec.sizes == dec2.sizes
+        reps, sizes = reference_affine_classes(ag)
+        assert dec.rep_indices == reps
+        assert dec.sizes == sizes
 
-    def test_wide_points_run_pure(self):
-        # 263 points per vector exceed the byte-table range
+    def test_wide_points(self):
+        # 263 points per vector: permutations are tuples, not byte tables
         dec = count_classes(build_affine("GL", 1, 263))
         assert dec.k == 263
+
+    def test_conjugation_tables_built_once(self, monkeypatch):
+        g = build_group("Sp", 4, 2)
+        calls = []
+        real = groups_mod.p_invert
+        monkeypatch.setattr(groups_mod, "p_invert",
+                            lambda a: calls.append(a) or real(a))
+        count_classes(g)
+        count_classes(AffineGroup(g))
+        orbit_sum_check(g)
+        assert len(calls) == len(g.gen_perms)
+
+    def test_vector_table_checked_against_cap(self):
+        g = build_group("GL", 1, 257)
+        # |V|^2 = 66049 entries exceed the cap even though |G| does not
+        with pytest.raises(CapExceeded):
+            orbit_sum_check(g, cap=60_000)
+        with pytest.raises(CapExceeded):
+            count_classes(AffineGroup(g, cap=66_000))
 
 
 # ---------------------------------------------------------------------------
