@@ -18,8 +18,6 @@ from .classcount import affine_counts, k_ah
 from .series import (RATIONAL, FactorFamily, TruncatedSeries, apply_product,
                      geometric)
 
-Q_ODD = (3, 5, 7, 9)
-Q_EVEN = (2, 4, 8)
 Q_ALL = (2, 3, 4, 5, 7, 8, 9)
 DEFAULT_N_MAX = 25
 

@@ -6,14 +6,24 @@ Three independent routes are provided and cross-checked by the tests:
 * assemblies of centralizer orbit counts over classes (orbit_built_series),
 * first-order recursions from the character method (affine_recursive).
 
-All arithmetic is exact.  Passing the symbolic generator Q (a QPoly) as q
-switches every routine into symbolic mode; passing an integer gives value
-mode, where results are validated to be integers.
+Every route is called as (family, q, order or n_max, ch="").  The family is
+a classical name (GL, GU, Sp, O-sum, O-diff) or an affine one (AGL, AGU,
+ASp, AO-sum, AO-diff); the orthogonal series are indexed by the full
+dimension in odd characteristic and by half of it in even characteristic,
+the others by n.  All arithmetic is exact.  An integer q gives value mode:
+q must be a prime power, the characteristic ch follows from q and a ch that
+contradicts it is an error, and counts are validated to be integers.
+Passing the symbolic generator Q (a QPoly) as q gives symbolic mode, where
+ch picks the characteristic and defaults to odd.
+
+affine_counts reads table rows n = 0..n_max (row_index, row_dimension) off
+the closed-form series; recursion_counts and orbit_counts read the same rows
+off the other two routes, each from its own series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,60 +40,7 @@ from .series import (
     pow_factor,
 )
 
-CLASSICAL_FAMILIES = frozenset({"GL", "GU", "Sp", "O-sum", "O-diff"})
-AFFINE_FAMILIES = frozenset({"AGL", "AGU", "ASp", "AO-sum", "AO-diff"})
-FAMILIES = CLASSICAL_FAMILIES | AFFINE_FAMILIES | {"BSp"}
-
-DIM_N = "dim = n"
-DIM_2N = "dim = 2n"
-DIM_2N1 = "dim = 2n+1"
-
-_DIM_N_FAMILIES = frozenset({"GL", "GU", "AGL", "AGU"})
-_DIM_2N_FAMILIES = frozenset({"Sp", "ASp", "BSp"})
-
-
-@dataclass(frozen=True)
-class FamilyKey:
-    """A group family together with the characteristic regime and the meaning
-    of the series index n."""
-
-    family: str
-    characteristic: str = "odd"
-    convention: str = ""
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError("unknown family %r" % (self.family,))
-        if self.characteristic not in ("odd", "even"):
-            raise ValueError("characteristic must be 'odd' or 'even'")
-        if self.family == "BSp" and self.characteristic != "even":
-            raise ValueError("BSp exists only in even characteristic")
-        default = self._default_convention()
-        if not self.convention:
-            object.__setattr__(self, "convention", default)
-        elif self.convention != default:
-            # odd-dimension view of the orthogonal families
-            o_fam = self.family in ("O-sum", "O-diff", "AO-sum", "AO-diff")
-            if not (self.convention == DIM_2N1 and o_fam
-                    and self.characteristic == "odd"):
-                raise ValueError("convention %r not valid for %s"
-                                 % (self.convention, self.family))
-
-    def _default_convention(self):
-        if self.family in _DIM_N_FAMILIES:
-            return DIM_N
-        if self.family in _DIM_2N_FAMILIES:
-            return DIM_2N
-        # orthogonal families: full dimension index in odd characteristic,
-        # half in even (where odd-dimensional forms are degenerate)
-        return DIM_N if self.characteristic == "odd" else DIM_2N
-
-    def dim(self, n: int) -> int:
-        if self.convention == DIM_N:
-            return n
-        if self.convention == DIM_2N:
-            return 2 * n
-        return 2 * n + 1
+AFFINE_FAMILIES = ("AGL", "AGU", "ASp", "AO-sum", "AO-diff")
 
 
 @dataclass(frozen=True)
@@ -100,25 +57,6 @@ class OrbitPieces:
         if self.family == "AGU":
             return self.T1 + self.T2 - self.T3
         return self.T1 + self.T2 + self.T3
-
-
-@dataclass(frozen=True)
-class CountSequence:
-    """Counts indexed by n under key.convention; q is an integer in value
-    mode or a QPoly in symbolic mode."""
-
-    key: FamilyKey | None
-    q: object
-    values: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, n):
-        return self.values[n]
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +126,24 @@ def _to_int(x):
     return int(f)
 
 
-def _check_value_q(key: FamilyKey, q):
+def _characteristic(q, ch: str = "") -> str:
+    """The characteristic ("odd" or "even") a route computes in.  In value
+    mode it follows from q, which must be a prime power, and a ch that
+    contradicts q is an error; in symbolic mode it is ch, odd by default."""
     if isinstance(q, QPoly):
-        return
+        if ch not in ("", "odd", "even"):
+            raise ValueError("characteristic must be 'odd' or 'even', got %r" % (ch,))
+        return ch or "odd"
     qi = _to_int(q)
     prime_power(qi)
-    if key.characteristic == "odd" and qi % 2 == 0:
-        raise ValueError("odd-characteristic key needs odd q, got %d" % qi)
-    if key.characteristic == "even" and (qi & (qi - 1)):
-        raise ValueError("even-characteristic key needs a power of 2, got %d" % qi)
+    own = "odd" if qi % 2 else "even"
+    if ch and ch != own:
+        raise ValueError("characteristic %r contradicts q = %d" % (ch, qi))
+    return own
+
+
+def _values(coeffs, symbolic: bool) -> tuple:
+    return tuple(coeffs) if symbolic else tuple(_to_int(c) for c in coeffs)
 
 
 def _ring_for(q):
@@ -308,13 +255,13 @@ _CLASSICAL = {
 }
 
 
-def classical_series(key: FamilyKey, q, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Generating function of k(G(n,q)) for a classical family, where the
-    coefficient index follows key.convention."""
-    if key.family not in CLASSICAL_FAMILIES:
-        raise ValueError("%r is not a classical family" % (key.family,))
-    _check_value_q(key, q)
-    return _CLASSICAL[key.family, key.characteristic](q, order)
+def classical_series(family: str, q, order: int = DEFAULT_ORDER,
+                     ch: str = "") -> TruncatedSeries:
+    """Generating function of k(G(n,q)) for a classical family."""
+    ch = _characteristic(q, ch)
+    if (family, ch) not in _CLASSICAL:
+        raise ValueError("%r is not a classical family" % (family,))
+    return _CLASSICAL[family, ch](q, order)
 
 
 def sp_even_proof_form(q, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -334,19 +281,19 @@ def _geo(c, j, q, order):
     return geometric(c, j, _ring_for(q), order)
 
 
-def affine_series(key: FamilyKey, q, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def affine_series(family: str, q, order: int = DEFAULT_ORDER,
+                  ch: str = "") -> TruncatedSeries:
     """Generating function of k(AG(n,q)) for an affine family."""
-    if key.family not in AFFINE_FAMILIES:
-        raise ValueError("%r is not an affine family" % (key.family,))
-    _check_value_q(key, q)
-    fam, ch = key.family, key.characteristic
+    ch = _characteristic(q, ch)
+    if family not in AFFINE_FAMILIES:
+        raise ValueError("%r is not an affine family" % (family,))
     one = TruncatedSeries.one(_ring_for(q), order)
-    if fam == "AGL":
+    if family == "AGL":
         return _geo(1, 1, q, order) * _gl(q, order)
-    if fam == "AGU":
+    if family == "AGU":
         w = one + (_mon(q, 2, q, order) + _mon(q - 1, 1, q, order)) * _geo(1, 2, q, order)
         return _gu(q, order) * w
-    if fam == "ASp":
+    if family == "ASp":
         if ch == "odd":
             w = one + _mon(q, 1, q, order) * _geo(1, 1, q, order)
             return _sp_odd(q, order) * w
@@ -357,7 +304,7 @@ def affine_series(key: FamilyKey, q, order: int = DEFAULT_ORDER) -> TruncatedSer
         b = _product(q, order, [FactorFamily(-1, _four_m2_idx, power=-2)])
         c = _product(q, order, [FactorFamily(1, _odd_idx, power=2)])
         return _geo(1, 1, q, order) * a * (b + _mon(q - 1, 1, q, order) * c)
-    if fam == "AO-sum":
+    if family == "AO-sum":
         if ch == "odd":
             w = one + (_mon(1, 2, q, order) + _mon(q - 1, 1, q, order)) * _geo(1, 2, q, order)
             return _o_sum_odd(q, order) * w
@@ -373,33 +320,31 @@ def affine_series(key: FamilyKey, q, order: int = DEFAULT_ORDER) -> TruncatedSer
 # ---------------------------------------------------------------------------
 # plus/minus splitting
 
-def ao_split(sum_series: TruncatedSeries, diff_series: TruncatedSeries,
-             key: FamilyKey | None = None, q=None):
-    """Recover the individual plus/minus type sequences from the sum and
-    difference series: plus = (sum+diff)/2, minus = (sum-diff)/2."""
-    if sum_series.ring != diff_series.ring:
-        raise ValueError("sum and diff series live in different rings")
-    if sum_series.order != diff_series.order:
-        raise ValueError("sum and diff series have different orders")
-    symbolic = sum_series.ring == QPOLY
+def ao_split(sums, diffs) -> tuple:
+    """Recover the plus and minus type counts from the sum and difference
+    sequences: plus = (sum+diff)/2, minus = (sum-diff)/2.  Values that are
+    not q-polynomials must split into non-negative integers."""
+    if len(sums) != len(diffs):
+        raise ValueError("sum and diff sequences have different lengths")
     plus, minus = [], []
-    for n in range(sum_series.order + 1):
-        s, d = sum_series.coeff(n), diff_series.coeff(n)
-        p, m = (s + d) / 2, (s - d) / 2
-        if not symbolic:
-            p, m = Fraction(p), Fraction(m)
-            if p.denominator != 1 or m.denominator != 1:
-                raise ValueError("non-integer split at n=%d: indexing bug" % n)
-            p, m = int(p), int(m)
-            if p < 0 or m < 0:
-                raise ValueError("negative count at n=%d: indexing bug" % n)
-        plus.append(p)
-        minus.append(m)
-    return CountSequence(key, q, plus), CountSequence(key, q, minus)
+    for n, (s, d) in enumerate(zip(sums, diffs)):
+        t, u = s + d, s - d
+        if isinstance(t, QPoly):
+            plus.append(t / 2)
+            minus.append(u / 2)
+            continue
+        p, m = Fraction(t, 2), Fraction(u, 2)
+        if p.denominator != 1 or m.denominator != 1:
+            raise ValueError("non-integer split at n=%d: indexing bug" % n)
+        if p < 0 or m < 0:
+            raise ValueError("negative count at n=%d: indexing bug" % n)
+        plus.append(int(p))
+        minus.append(int(m))
+    return tuple(plus), tuple(minus)
 
 
 # ---------------------------------------------------------------------------
-# closed-form counts per table row
+# counts per table row
 
 #: table families read off one series; the orthogonal ones ("ao-plus",
 #: "ao-minus", "ao-odd") split the AO-sum and AO-diff series
@@ -407,135 +352,139 @@ _ONE_SERIES = {"agl": "AGL", "agu": "AGU", "asp": "ASp"}
 TABLE_FAMILIES = ("agl", "agu", "asp", "ao-plus", "ao-minus", "ao-odd")
 
 
-def row_index(family: str, ch: str, n: int) -> int:
-    """Series coefficient index of table row n, whose dimension is n for
-    agl/agu, 2n for asp/ao-plus/ao-minus and 2n+1 for ao-odd.  The orthogonal
-    series are indexed by the full dimension in odd characteristic and by
-    half of it in even characteristic; the others by n."""
-    if family in _ONE_SERIES or ch == "even":
+def row_dimension(family: str, n: int) -> int:
+    """Dimension of table row n: n for agl/agu, 2n for asp/ao-plus/ao-minus
+    and 2n+1 for ao-odd."""
+    if family in ("agl", "agu"):
         return n
     return 2 * n + 1 if family == "ao-odd" else 2 * n
 
 
-@lru_cache(maxsize=64)
-def _closed_form(family: str, ch: str, q, order: int) -> TruncatedSeries:
-    return affine_series(FamilyKey(family, ch), q, order)
+def row_index(family: str, ch: str, n: int) -> int:
+    """Series coefficient index of table row n.  The orthogonal series are
+    indexed by the full dimension in odd characteristic and by half of it in
+    even characteristic; the others by n."""
+    if family in _ONE_SERIES or ch == "even":
+        return n
+    return row_dimension(family, n)
 
 
-def affine_counts(family: str, q, n_max: int, ch: str = "") -> tuple:
-    """Closed-form k(AG) for the rows n = 0..n_max of a table family.
-
-    q is a field size (value mode: checked integers, the characteristic
-    follows q) or Q (symbolic mode: ch defaults to odd).  Each series is
-    built once per (family, characteristic, q, order), and the three
-    orthogonal families share one order, so they share their series.
-    """
+def _rows(family: str, q, n_max: int, ch: str, coeffs) -> tuple:
+    """Rows n = 0..n_max of a table family from one route, where
+    coeffs(affine_family, ch, order) gives that route's coefficients
+    0..order.  agl/agu/asp read one sequence; the orthogonal families split
+    the AO-sum and AO-diff sequences, whose order all three share."""
     if family not in TABLE_FAMILIES:
         raise ValueError("unknown table family %r" % (family,))
-    symbolic = isinstance(q, QPoly)
-    if not ch:
-        ch = "odd" if symbolic or _to_int(q) % 2 else "even"
+    ch = _characteristic(q, ch)
     if family == "ao-odd" and ch == "even":
         raise ValueError("odd-dimensional orthogonal groups need odd q")
     if family in _ONE_SERIES:
-        seq = _closed_form(_ONE_SERIES[family], ch, q, n_max).coeffs
-        if not symbolic:
-            seq = [_to_int(c) for c in seq]
+        seq = _values(coeffs(_ONE_SERIES[family], ch, n_max), isinstance(q, QPoly))
     else:
         order = row_index("ao-odd", ch, n_max)
-        plus, minus = ao_split(_closed_form("AO-sum", ch, q, order),
-                               _closed_form("AO-diff", ch, q, order), q=q)
+        plus, minus = ao_split(coeffs("AO-sum", ch, order),
+                               coeffs("AO-diff", ch, order))
         seq = minus if family == "ao-minus" else plus
     return tuple(seq[row_index(family, ch, n)] for n in range(n_max + 1))
+
+
+@lru_cache(maxsize=64)
+def _closed_form(family: str, ch: str, q, order: int) -> TruncatedSeries:
+    return affine_series(family, q, order, ch)
+
+
+def affine_counts(family: str, q, n_max: int, ch: str = "") -> tuple:
+    """Closed-form k(AG) for the rows n = 0..n_max of a table family.  Each
+    series is built once per (family, characteristic, q, order), and the
+    three orthogonal families share one order, so they share their series."""
+    return _rows(family, q, n_max, ch,
+                 lambda fam, ch, order: _closed_form(fam, ch, q, order).coeffs)
+
+
+def recursion_counts(family: str, q, n_max: int, ch: str = "") -> tuple:
+    """The same rows from the character-method recursions."""
+    return _rows(family, q, n_max, ch,
+                 lambda fam, ch, order: affine_recursive(fam, q, order, ch))
+
+
+def orbit_counts(family: str, q, n_max: int, ch: str = "") -> tuple:
+    """The same rows from the orbit-count assembly."""
+    return _rows(family, q, n_max, ch,
+                 lambda fam, ch, order: orbit_built_series(fam, q, order, ch).total().coeffs)
 
 
 # ---------------------------------------------------------------------------
 # orbit-count assembly
 
-ORBIT_FAMILIES = ("AGL", "AGU", "ASp-odd", "AO-sum-odd", "AO-diff-odd")
-
-
-def orbit_built_series(family: str, q, order: int = DEFAULT_ORDER) -> OrbitPieces:
-    """Assemble the affine count from per-class centralizer orbit counts.
+def orbit_built_series(family: str, q, order: int = DEFAULT_ORDER,
+                       ch: str = "") -> OrbitPieces:
+    """Assemble the affine count from per-class centralizer orbit counts;
+    ASp and the orthogonal families are assembled in odd characteristic.
 
     T1 is the classical class-count series.  T2 and T3 arise from the
     partition statistics in the orbit formulas; each equals the classical
     series with its unipotent factor swapped for a weighted one, which
     collapses to multiplication by an explicit rational function of u.
     """
-    if family not in ORBIT_FAMILIES:
+    ch = _characteristic(q, ch)
+    if family not in AFFINE_FAMILIES:
         raise ValueError("unknown orbit family %r" % (family,))
-    if isinstance(q, QPoly):
-        ch = "odd"
-    else:
-        ch = "even" if _to_int(q) % 2 == 0 else "odd"
-        _check_value_q(FamilyKey("AGL", ch), q)
-    if family.endswith("-odd") and ch != "odd":
-        raise ValueError("%s needs odd q" % family)
+    if family not in ("AGL", "AGU") and ch != "odd":
+        raise ValueError("orbit assembly of %s needs odd q" % family)
     ring = _ring_for(q)
     zero = TruncatedSeries.zero(ring, order)
 
     if family == "AGL":
         t1 = _gl(q, order)
         r2 = _mon(1, 1, q, order) * _geo(1, 1, q, order)
-        return OrbitPieces("AGL", t1, t1 * r2, zero)
+        return OrbitPieces(family, t1, t1 * r2, zero)
     if family == "AGU":
         t1 = _gu(q, order)
         r2 = _mon(q, 1, q, order) * _geo(1, 1, q, order)
         r3 = _mon(1, 1, q, order) * _geo(1, 2, q, order)
-        return OrbitPieces("AGU", t1, t1 * r2, t1 * r3)
-    if family == "ASp-odd":
+        return OrbitPieces(family, t1, t1 * r2, t1 * r3)
+    if family == "ASp":
         t1 = _sp_odd(q, order)
         r2 = _mon(1, 1, q, order) * _geo(1, 2, q, order)
         r3 = (_mon(q - 1, 1, q, order) * _geo(1, 1, q, order)
               + _mon(1, 2, q, order) * _geo(1, 2, q, order))
-        return OrbitPieces("ASp-odd", t1, t1 * r2, t1 * r3)
-    if family == "AO-sum-odd":
+        return OrbitPieces(family, t1, t1 * r2, t1 * r3)
+    if family == "AO-sum":
         t1 = _o_sum_odd(q, order)
         r2 = _mon(1, 4, q, order) * _geo(1, 4, q, order)
         r3 = (_mon(q - 1, 1, q, order) * _geo(1, 2, q, order)
               + _mon(1, 2, q, order) * _geo(1, 4, q, order))
-        return OrbitPieces("AO-sum-odd", t1, t1 * r2, t1 * r3)
+        return OrbitPieces(family, t1, t1 * r2, t1 * r3)
     t1 = _o_diff_odd(q, order)
     r2 = _mon(1, 4, q, order) * _geo(1, 4, q, order)
     r3 = _mon(1, 2, q, order) * _geo(1, 4, q, order)
-    return OrbitPieces("AO-diff-odd", t1, t1 * r2, t1 * r3)
+    return OrbitPieces(family, t1, t1 * r2, t1 * r3)
 
 
 # ---------------------------------------------------------------------------
 # character-method recursions
 
-def _series_values(series: TruncatedSeries, n_max: int, symbolic: bool):
-    out = []
-    for n in range(n_max + 1):
-        c = series.coeff(n)
-        out.append(c if symbolic else _to_int(c))
-    return out
-
-
-def affine_recursive(key: FamilyKey, q, n_max: int) -> CountSequence:
+def affine_recursive(family: str, q, n_max: int, ch: str = "") -> tuple:
     """Affine counts from the recursions, using only classical baselines."""
-    if key.family not in AFFINE_FAMILIES:
-        raise ValueError("%r is not an affine family" % (key.family,))
-    _check_value_q(key, q)
+    ch = _characteristic(q, ch)
+    if family not in AFFINE_FAMILIES:
+        raise ValueError("%r is not an affine family" % (family,))
     symbolic = isinstance(q, QPoly)
-    fam, ch = key.family, key.characteristic
-    order = n_max
 
     def classical(fam2):
-        s = classical_series(FamilyKey(fam2, ch), q, order)
-        return _series_values(s, n_max, symbolic)
+        return _values(classical_series(fam2, q, n_max, ch).coeffs, symbolic)
 
-    if fam == "AGL":
+    if family == "AGL":
         gl = classical("GL")
         vals, acc = [], 0
         for n in range(n_max + 1):
             if n:
                 acc = acc + gl[n]
             vals.append(1 + acc)
-        return CountSequence(key, q, vals)
+        return tuple(vals)
 
-    if fam == "AGU":
+    if family == "AGU":
         gu = classical("GU")
         vals = []
         for n in range(n_max + 1):
@@ -547,81 +496,40 @@ def affine_recursive(key: FamilyKey, q, n_max: int) -> CountSequence:
             gu1 = gu[n - 1]
             gu2 = gu[n - 2] if n >= 2 else 0
             vals.append(gu[n] + (q - 1) * gu1 + prev2 + (q - 1) * gu2)
-        return CountSequence(key, q, vals)
+        return tuple(vals)
 
-    if fam == "ASp":
+    if family == "ASp":
         sp = classical("Sp")
-        if ch == "odd":
-            vals = [1]
-            for n in range(1, n_max + 1):
-                vals.append(sp[n] + vals[n - 1] + (q - 1) * sp[n - 1])
-        else:
-            osum = classical("O-sum")
-            vals = [1]
-            for n in range(1, n_max + 1):
-                vals.append(sp[n] + vals[n - 1] + (q - 1) * osum[n - 1])
-        return CountSequence(key, q, vals)
+        # odd characteristic recurses on Sp, even on the orthogonal sum
+        base = sp if ch == "odd" else classical("O-sum")
+        vals = [1]
+        for n in range(1, n_max + 1):
+            vals.append(sp[n] + vals[n - 1] + (q - 1) * base[n - 1])
+        return tuple(vals)
 
     # orthogonal affine families: run the plus and minus recursions
     # separately, then combine
     osum = classical("O-sum")
-    odiff = classical("O-diff")
-    def split(n):
-        s, d = osum[n], odiff[n]
-        if symbolic:
-            return (s + d) / 2, (s - d) / 2
-        p, m = Fraction(s + d, 2), Fraction(s - d, 2)
-        if p.denominator != 1 or m.denominator != 1:
-            raise ValueError("non-integer orthogonal baseline at n=%d" % n)
-        return int(p), int(m)
-
+    pbase, mbase = ao_split(osum, classical("O-diff"))
+    plus, minus = [1], [0]
     if ch == "odd":
-        plus, minus = [], []
-        for n in range(n_max + 1):
-            if n == 0:
-                plus.append(1)
-                minus.append(0)
-                continue
-            pb, mb = split(n)
+        for n in range(1, n_max + 1):
             cross = (q - 1) * osum[n - 1] * Fraction(1, 2)
             p2 = plus[n - 2] if n >= 2 else 0
             m2 = minus[n - 2] if n >= 2 else 0
-            plus.append(pb + p2 + cross)
-            minus.append(mb + m2 + cross)
+            plus.append(pbase[n] + p2 + cross)
+            minus.append(mbase[n] + m2 + cross)
     else:
         sp = classical("Sp")
-        plus, minus = [], []
-        for n in range(n_max + 1):
-            if n == 0:
-                plus.append(1)
-                minus.append(0)
-                continue
-            pb, mb = split(n)
-            plus.append(pb + plus[n - 1] + 2 * (q - 1) * sp[n - 1])
-            minus.append(mb + minus[n - 1] + 2 * (q - 1) * sp[n - 1])
+        for n in range(1, n_max + 1):
+            plus.append(pbase[n] + plus[n - 1] + 2 * (q - 1) * sp[n - 1])
+            minus.append(mbase[n] + minus[n - 1] + 2 * (q - 1) * sp[n - 1])
 
-    if fam == "AO-sum":
-        vals = [plus[n] + minus[n] for n in range(n_max + 1)]
-    else:
-        vals = [plus[n] - minus[n] for n in range(n_max + 1)]
-    if not symbolic:
-        vals = [_to_int(v) for v in vals]
-    return CountSequence(key, q, vals)
+    sign = 1 if family == "AO-sum" else -1
+    return _values([plus[n] + sign * minus[n] for n in range(n_max + 1)], symbolic)
 
 
-def k_bsp(q, n_max: int) -> CountSequence:
-    """Class counts of the extended even-characteristic symplectic groups:
-    k(BSp(2n,q)) = k(ASp(2n,q)) + (q-1)(k(O+(2n,q)) + k(O-(2n,q)))."""
-    key = FamilyKey("BSp", "even")
-    _check_value_q(key, q)
-    symbolic = isinstance(q, QPoly)
-    asp = _series_values(affine_series(FamilyKey("ASp", "even"), q, n_max), n_max, symbolic)
-    osum = _series_values(classical_series(FamilyKey("O-sum", "even"), q, n_max), n_max, symbolic)
-    vals = [asp[n] + (q - 1) * osum[n] for n in range(n_max + 1)]
-    return CountSequence(key, q, vals)
-
-
-def k_ah(q, e: int, n_max: int, kH=None) -> CountSequence:
+def k_ah(q, e: int, n_max: int, kH=None) -> tuple:
     """Class counts of affine extensions V.H for SL(n,q) <= H <= GL(n,q) with
     e = [H : SL]: k(AH(n,q)) = (q-1)/e + sum_{i<=n} k(H(i,q)).
 
@@ -632,21 +540,17 @@ def k_ah(q, e: int, n_max: int, kH=None) -> CountSequence:
     """
     if isinstance(q, QPoly):
         raise TypeError("k_ah works in value mode only")
+    gl = _values(classical_series("GL", q, n_max).coeffs, False)
     qi = _to_int(q)
-    if qi < 2:
-        raise ValueError("q must be at least 2")
     if e < 1 or (qi - 1) % e:
         raise ValueError("e must divide q-1")
     index = (qi - 1) // e
-    gl = _series_values(
-        classical_series(FamilyKey("GL", "even" if qi % 2 == 0 else "odd"), qi, n_max),
-        n_max, False)
     if kH is not None:
-        kh = list(kH.values) if isinstance(kH, CountSequence) else list(kH)
+        kh = list(kH)
         if len(kh) < n_max + 1:
             raise ValueError("kH too short: need entries up to n=%d" % n_max)
     elif index == 1:
-        kh = [1] + gl[1:]
+        kh = [1] + list(gl[1:])
     elif index == 2 and qi % 2 == 1:
         kh = [1]
         for n in range(1, n_max + 1):
@@ -662,4 +566,4 @@ def k_ah(q, e: int, n_max: int, kH=None) -> CountSequence:
     for n in range(1, n_max + 1):
         acc += kh[n]
         vals.append(index + acc)
-    return CountSequence(None, qi, vals)
+    return tuple(vals)

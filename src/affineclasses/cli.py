@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds as bounds_mod
-from .classcount import (FamilyKey, affine_counts, affine_recursive,
+from .classcount import (AFFINE_FAMILIES, affine_counts, affine_recursive,
                          affine_series, classical_series, k_ah,
-                         necklace_product, orbit_built_series, row_index,
-                         sp_even_proof_form)
+                         necklace_product, orbit_built_series, orbit_counts,
+                         recursion_counts, row_dimension, sp_even_proof_form)
 from .oracle import (CapExceeded, DEFAULT_CAP, VERIFICATION_GRID, AffineGroup,
                      affine_order, build_affine, build_group, count_classes,
                      formula_check_o, orbit_sum_check)
@@ -167,59 +167,15 @@ TABLE_FAMILIES = {
 }
 
 
-def _dimension(fam: str, n: int) -> int:
-    if fam in ("agl", "agu"):
-        return n
-    if fam == "ao-odd":
-        return 2 * n + 1
-    return 2 * n
-
-
 def _orbit_supported(fam: str, ch: str) -> bool:
     return fam in ("agl", "agu") or ch == "odd"
-
-
-def _half(x):
-    if isinstance(x, QPoly):
-        return x / 2
-    v = Fraction(x, 2)
-    if v.denominator != 1:
-        raise ValueError("odd sum where an even one was expected")
-    return int(v)
-
-
-def recursion_values(fam: str, ch: str, q, n_max: int):
-    if fam in ("agl", "agu", "asp"):
-        key = FamilyKey(TABLE_FAMILIES[fam][0], ch)
-        seq = affine_recursive(key, q, n_max)
-        return [seq[n] for n in range(1, n_max + 1)]
-    idx = [row_index(fam, ch, n) for n in range(1, n_max + 1)]
-    s = affine_recursive(FamilyKey("AO-sum", ch), q, idx[-1])
-    d = affine_recursive(FamilyKey("AO-diff", ch), q, idx[-1])
-    sign = -1 if fam == "ao-minus" else 1
-    return [_half(s[i] + sign * d[i]) for i in idx]
-
-
-def orbit_values(fam: str, ch: str, q, n_max: int):
-    if fam in ("agl", "agu"):
-        name = "AGL" if fam == "agl" else "AGU"
-        total = orbit_built_series(name, q, n_max).total()
-        return [total.coeff(n) for n in range(1, n_max + 1)]
-    if fam == "asp":
-        total = orbit_built_series("ASp-odd", q, n_max).total()
-        return [total.coeff(n) for n in range(1, n_max + 1)]
-    idx = [row_index(fam, ch, n) for n in range(1, n_max + 1)]
-    s = orbit_built_series("AO-sum-odd", q, idx[-1]).total()
-    d = orbit_built_series("AO-diff-odd", q, idx[-1]).total()
-    sign = -1 if fam == "ao-minus" else 1
-    return [_half(s.coeff(i) + sign * d.coeff(i)) for i in idx]
 
 
 def oracle_values(fam: str, q: int, n_max: int, cap: int):
     oracle_family = TABLE_FAMILIES[fam][1]
     out = []
     for n in range(1, n_max + 1):
-        ag = build_affine(oracle_family, _dimension(fam, n), q, cap=cap)
+        ag = build_affine(oracle_family, row_dimension(fam, n), q, cap=cap)
         out.append(count_classes(ag).k)
     return out
 
@@ -228,9 +184,9 @@ def _route_values(method, fam, ch, q, n_max, cap):
     if method == "closed-form":
         return affine_counts(fam, q, n_max, ch)[1:]
     if method == "recursion":
-        return recursion_values(fam, ch, q, n_max)
+        return recursion_counts(fam, q, n_max, ch)[1:]
     if method == "orbit-assembly":
-        return orbit_values(fam, ch, q, n_max)
+        return orbit_counts(fam, q, n_max, ch)[1:]
     return oracle_values(fam, q, n_max, cap)
 
 
@@ -292,7 +248,7 @@ def cmd_table(args) -> int:
             raise UsageError(str(e))
         for n, value in enumerate(values, 1):
             records.append(OutputRecord(
-                display, ch, n, _dimension(fam, n), q_label, method,
+                display, ch, n, row_dimension(fam, n), q_label, method,
                 str(value), "ok"))
 
     fmt = args.format or cfg.get("format") or "csv"
@@ -359,28 +315,11 @@ def suite_identities(grid: str):
     qs = ((2, 4, 8, Q) if full else (2, Q))
     for q in qs:
         label = "symbolic" if isinstance(q, QPoly) else "q%d" % q
-        a = classical_series(FamilyKey("Sp", "even"), q, order)
+        a = classical_series("Sp", q, order, "even")
         b = sp_even_proof_form(q, order)
         cases.append(_case("identities/sp-even-forms-%s" % label,
                            list(a.coeffs), list(b.coeffs)))
     return cases
-
-
-CROSS_FAMILIES = (
-    ("AGL", ("odd", "even")),
-    ("AGU", ("odd", "even")),
-    ("ASp", ("odd", "even")),
-    ("AO-sum", ("odd", "even")),
-    ("AO-diff", ("odd", "even")),
-)
-
-ORBIT_FAMILY_KEYS = (
-    ("AGL", FamilyKey("AGL", "odd")),
-    ("AGU", FamilyKey("AGU", "odd")),
-    ("ASp-odd", FamilyKey("ASp", "odd")),
-    ("AO-sum-odd", FamilyKey("AO-sum", "odd")),
-    ("AO-diff-odd", FamilyKey("AO-diff", "odd")),
-)
 
 
 def suite_cross_method(grid: str):
@@ -388,22 +327,23 @@ def suite_cross_method(grid: str):
     qs = (2, 3, 4, 5, 7, 8, 9) if full else (2, 3)
     n_max = 25 if full else 10
     cases = []
-    for family, chars in CROSS_FAMILIES:
-        for ch in chars:
-            key = FamilyKey(family, ch)
+    for family in AFFINE_FAMILIES:
+        for ch in ("odd", "even"):
             for q in qs:
                 if (q % 2 == 0) != (ch == "even"):
                     continue
-                series = affine_series(key, q, n_max)
-                rec = affine_recursive(key, q, n_max)
+                series = affine_series(family, q, n_max)
+                rec = affine_recursive(family, q, n_max)
                 cases.append(_case(
                     "cross-method/%s-%s-q%d" % (family, ch, q),
-                    [series.coeff(n) for n in range(n_max + 1)],
-                    list(rec.values)))
+                    [series.coeff(n) for n in range(n_max + 1)], list(rec)))
     order = 25 if full else 12
-    for name, key in ORBIT_FAMILY_KEYS:
-        total = orbit_built_series(name, Q, order).total()
-        series = affine_series(key, Q, order)
+    for family in AFFINE_FAMILIES:
+        # the case names keep the odd-characteristic suffix of the families
+        # that are assembled only there
+        name = family if family in ("AGL", "AGU") else family + "-odd"
+        total = orbit_built_series(family, Q, order).total()
+        series = affine_series(family, Q, order)
         cases.append(_case("cross-method/orbit-%s-symbolic" % name,
                            list(series.coeffs), list(total.coeffs)))
     return cases

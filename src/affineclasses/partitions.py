@@ -10,7 +10,6 @@ summing them over all classes counts the classes of the affine group.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .series import (

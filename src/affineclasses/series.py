@@ -241,11 +241,6 @@ class TruncatedSeries:
             raise IndexError("coefficient %d out of range (order %d)" % (n, self.order))
         return self.coeffs[n]
 
-    def truncate(self, order):
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.ring, order, self.coeffs[: order + 1])
-
     def _pair(self, other):
         if not isinstance(other, TruncatedSeries):
             raise TypeError("expected a TruncatedSeries")
@@ -315,41 +310,30 @@ class TruncatedSeries:
 
 class FactorFamily:
     """One group of factors of an infinite product: prod over i>=1 of
-    (1 + coefficient(i) * u^uexp(i)) ** power, optionally filtered on i.
+    (1 + coefficient * u^uexp(i)) ** power, with a constant coefficient.
 
-    uexp must be strictly increasing over the accepted indices so the product
-    truncates after finitely many factors at any fixed order.
+    uexp must be strictly increasing so the product truncates after finitely
+    many factors at any fixed order.
     """
 
-    __slots__ = ("coefficient", "uexp", "power", "index_filter")
+    __slots__ = ("coefficient", "uexp", "power")
 
-    def __init__(self, coefficient, uexp, power=1, index_filter=None):
-        # QPoly is callable (evaluation at q), but as a coefficient it is a
-        # constant, not a function of the factor index
-        is_fn = callable(coefficient) and not isinstance(coefficient, QPoly)
-        self.coefficient = coefficient if is_fn else (lambda i, _c=coefficient: _c)
+    def __init__(self, coefficient, uexp, power=1):
+        self.coefficient = coefficient
         self.uexp = uexp
         self.power = power
-        self.index_filter = index_filter
 
-    def factors_up_to(self, order):
-        """Yield (c, j) for every accepted index with u-exponent j <= order."""
+    def exponents_up_to(self, order):
+        """Yield the u-exponent j of every factor with j <= order."""
         i = 0
-        rejected = 0
         while True:
             i += 1
-            if self.index_filter is not None and not self.index_filter(i):
-                rejected += 1
-                if rejected > 10000:
-                    raise ValueError("index filter rejects every index past %d" % (i - rejected))
-                continue
-            rejected = 0
             j = self.uexp(i)
             if j < 1:
                 raise ValueError("u-exponent must be positive")
             if j > order:
                 return
-            yield self.coefficient(i), j
+            yield j
 
 
 def _mul_factor_inplace(coeffs, c, j, order):
@@ -375,10 +359,10 @@ def apply_product(base: TruncatedSeries, families) -> TruncatedSeries:
     coeffs = list(base.coeffs)
     for fam in families:
         e = fam.power
-        for c, j in fam.factors_up_to(order):
-            c = _coerce(ring, c)
-            if not c:
-                continue
+        c = _coerce(ring, fam.coefficient)
+        if not c:
+            continue
+        for j in fam.exponents_up_to(order):
             for _ in range(abs(e)):
                 if e > 0:
                     _mul_factor_inplace(coeffs, c, j, order)

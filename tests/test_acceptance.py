@@ -18,7 +18,7 @@ import pytest
 from affineclasses.bounds import (BOUND_SPECS, Q_ALL, certify_all,
                                   check_ah_theorem, check_all_bounds, k_agl,
                                   k_ao_even_dim, k_ao_odd_dim, k_asp)
-from affineclasses.classcount import FamilyKey, affine_counts, affine_series, k_ah
+from affineclasses.classcount import affine_counts, affine_series, k_ah
 from affineclasses.cli import suite_cross_method, suite_identities, suite_oracle
 from affineclasses.oracle import build_affine, build_group, count_classes
 from affineclasses.series import Q, QPoly
@@ -45,7 +45,7 @@ def _no_failures(cases, label):
 
 
 def _coeff1(family, ch):
-    return affine_series(FamilyKey(family, ch), Q, 1).coeff(1)
+    return affine_series(family, Q, 1, ch).coeff(1)
 
 
 def test_criterion_1_golden_values():

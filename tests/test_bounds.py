@@ -20,7 +20,7 @@ from affineclasses.bounds import (BOUND_SPECS, CONSTANT_IDS, Q_ALL, BoundSpec,
                                   check_all_bounds, check_bound,
                                   geometric_factor_product, k_agl, k_agu,
                                   k_ao_even_dim, k_ao_odd_dim, k_asp)
-from affineclasses.classcount import FamilyKey, affine_counts, affine_recursive
+from affineclasses.classcount import affine_counts, affine_recursive
 
 # independently computed (40-digit arithmetic, different algorithm)
 CONSTANT_REFERENCES = {
@@ -223,7 +223,7 @@ class TestBoundGrid:
         # dimension-5 odd orthogonal cell at q=3: strictly below q^5,
         # cross-checked against the recursion route
         k = k_ao_odd_dim(3, 2)
-        rec = affine_recursive(FamilyKey("AO-sum", "odd"), 3, 5)
+        rec = affine_recursive("AO-sum", 3, 5)
         assert 2 * k == rec[5]  # the sum series doubles the odd-dim count
         assert k == 119
         assert k < 3 ** 5
@@ -272,9 +272,9 @@ class TestBoundGrid:
         calls = Counter()
         real = classcount.affine_series
 
-        def counted(key, q, order):
-            calls[key.family, key.characteristic, q] += 1
-            return real(key, q, order)
+        def counted(family, q, order, ch=""):
+            calls[family, ch, q] += 1
+            return real(family, q, order, ch)
 
         monkeypatch.setattr(classcount, "affine_series", counted)
         classcount._closed_form.cache_clear()

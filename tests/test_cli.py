@@ -36,6 +36,12 @@ def column(rows, method, field="value"):
 # ---------------------------------------------------------------------------
 # table
 
+# every table family at every grid q it applies to, and symbolically in both
+# characteristics
+ROUTE_CELLS = [(f, q) for f in sorted(TABLE_FAMILIES)
+               for q in (2, 3, 4, 5, 7, 8, 9, "odd", "even")
+               if not (f == "ao-odd" and q in (2, 4, 8, "even"))]
+
 class TestTable:
     def test_agl_q2_values(self, capsys):
         code, out, _ = run(capsys, "table", "--family", "agl", "--q", "2",
@@ -61,6 +67,22 @@ class TestTable:
         assert column(rows, "recursion") == ["5", "18", "65"]
         # even characteristic: no orbit-assembly route
         assert column(rows, "orbit-assembly") == []
+
+    @pytest.mark.parametrize("family,q", ROUTE_CELLS)
+    def test_routes_agree(self, capsys, family, q):
+        where = ("--symbolic-q", "--char", q) if isinstance(q, str) else ("--q", str(q))
+        code, out, _ = run(capsys, "table", "--family", family, *where,
+                           "--n-max", "8")
+        assert code == 0
+        rows = csv_rows(out)
+        methods = ["closed-form", "recursion"]
+        if family in ("agl", "agu") or q == "odd" or q in (3, 5, 7, 9):
+            methods.append("orbit-assembly")
+        assert {r["method"] for r in rows} == set(methods)
+        want = column(rows, "closed-form")
+        assert len(want) == 8
+        for method in methods[1:]:
+            assert column(rows, method) == want
 
     def test_ao_odd_dimensions(self, capsys):
         code, out, _ = run(capsys, "table", "--family", "ao-odd", "--q", "3",
