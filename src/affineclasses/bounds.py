@@ -29,10 +29,6 @@ def k_agl(q: int, n: int) -> int:
     return affine_counts("agl", q, n)[n]
 
 
-def k_agu(q: int, n: int) -> int:
-    return affine_counts("agu", q, n)[n]
-
-
 def k_asp(q: int, n: int) -> int:
     """k of the affine symplectic group in dimension 2n."""
     return affine_counts("asp", q, n)[n]
@@ -41,11 +37,6 @@ def k_asp(q: int, n: int) -> int:
 def k_ao_even_dim(q: int, n: int, plus: bool) -> int:
     """k of an affine orthogonal group of type +/- in dimension 2n."""
     return affine_counts("ao-plus" if plus else "ao-minus", q, n)[n]
-
-
-def k_ao_odd_dim(q: int, n: int) -> int:
-    """k of the affine orthogonal group in dimension 2n+1, odd q."""
-    return affine_counts("ao-odd", q, n)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +233,6 @@ BOUND_SPECS = [
 ]
 
 
-def bound_spec(spec_id: str) -> BoundSpec:
-    for spec in BOUND_SPECS:
-        if spec.id == spec_id:
-            return spec
-    raise KeyError("unknown bound id %r" % (spec_id,))
-
-
 def check_all_bounds(q_set=Q_ALL, n_max=DEFAULT_N_MAX):
     return [check_bound(spec, q_set, n_max) for spec in BOUND_SPECS]
 
@@ -346,9 +330,6 @@ class Interval:
             out = out * self
         return out
 
-    def width(self):
-        return self.hi - self.lo
-
     def __repr__(self):
         return "Interval(%s, %s)" % (self.lo, self.hi)
 
@@ -438,65 +419,53 @@ class ConstantReport:
             float(self.interval.lo), float(self.interval.hi), self.ok)
 
 
-def _half(q):
+def _reciprocal(q):
     return Fraction(1, q)
 
 
+# Each builder returns (claimed value, enclosure, note); the constant's id
+# is its key in _CONSTANTS.
+
 def _const_pentagonal():
-    iv = geometric_factor_product(_half(2), 1, 0, +1, False)
-    return ConstantReport("doubling-product-2.4", Fraction(12, 5), iv,
-                          "prod (1+2^-i)")
+    iv = geometric_factor_product(_reciprocal(2), 1, 0, +1, False)
+    return Fraction(12, 5), iv, "prod (1+2^-i)"
 
 
 def _const_agu_master():
     q = 2
-    iv = geometric_factor_product(_half(q), 1, 0, +1, False) \
-        * geometric_factor_product(_half(q), 1, 0, -1, True)
+    iv = geometric_factor_product(_reciprocal(q), 1, 0, +1, False) \
+        * geometric_factor_product(_reciprocal(q), 1, 0, -1, True)
     iv = iv * (1 + Fraction(1, 1) / (1 - Fraction(1, q * q)))
-    return ConstantReport("agu-master-20", 20, iv,
-                          "prod (1+q^-i)/(1-q^-i) * (1 + 1/(1-q^-2)) at q=2")
+    return 20, iv, "prod (1+q^-i)/(1-q^-i) * (1 + 1/(1-q^-2)) at q=2"
 
 
 def _const_asp_odd_master():
     q = 3
-    iv = geometric_factor_product(_half(q), 1, 0, +1, False, power=4) \
-        * geometric_factor_product(_half(q), 1, 0, -1, True)
+    iv = geometric_factor_product(_reciprocal(q), 1, 0, +1, False, power=4) \
+        * geometric_factor_product(_reciprocal(q), 1, 0, -1, True)
     iv = iv * (1 + Fraction(1, 1) / (1 - Fraction(1, q)))
-    return ConstantReport("asp-odd-master-27", 27, iv,
-                          "prod (1+q^-i)^4/(1-q^-i) * (1 + 1/(1-q^-1)) at q=3")
+    return 27, iv, "prod (1+q^-i)^4/(1-q^-i) * (1 + 1/(1-q^-1)) at q=3"
 
 
 def _const_asp_even_master():
     q = 2
-    t = _half(q)
+    t = _reciprocal(q)
     common = geometric_factor_product(t, 1, 0, +1, False) \
         * geometric_factor_product(t, 1, 0, -1, True)
     first = geometric_factor_product(t, 4, -2, -1, True, power=2)
     second = geometric_factor_product(t, 2, -1, +1, False, power=2) \
         * (1 - Fraction(1, q))
     iv = Fraction(1, 1) / (1 - t) * (common * (first + second))
-    return ConstantReport("asp-even-master-56", 56, iv,
-                          "geometric prefactor times the two-term bracket at q=2")
+    return 56, iv, "geometric prefactor times the two-term bracket at q=2"
 
 
-def _const_ao_odd_diff():
-    q = 3
-    t = _half(q)
+def _const_ao_diff(q, claimed):
+    t = _reciprocal(q)
     iv = geometric_factor_product(t, 2, -1, +1, False) \
         * geometric_factor_product(t, 2, -1, -1, True)
     iv = iv * (Fraction(1, 1) / (1 - t))
-    return ConstantReport("ao-odd-diff-3.3", Fraction(33, 10), iv,
-                          "(1/(1-1/q)) prod (1+q^-(2i-1))/(1-q^-(2i-1)) at q=3")
-
-
-def _const_ao_even_diff():
-    q = 2
-    t = _half(q)
-    iv = geometric_factor_product(t, 2, -1, +1, False) \
-        * geometric_factor_product(t, 2, -1, -1, True)
-    iv = iv * (Fraction(1, 1) / (1 - t))
-    return ConstantReport("ao-even-diff-8.4", Fraction(42, 5), iv,
-                          "(1/(1-1/q)) prod (1+q^-(2i-1))/(1-q^-(2i-1)) at q=2")
+    return claimed, iv, ("(1/(1-1/q)) prod (1+q^-(2i-1))/(1-q^-(2i-1)) at q=%d"
+                         % q)
 
 
 def _const_ao_odd_sum():
@@ -512,42 +481,28 @@ def _const_ao_odd_sum():
     f_rho = _h_value_interval(rho) * ((1 + (q - 1) * rho) / (1 - rho * rho))
     iv = _coefficient_sum(lambda j: Fraction(f.coeff(j)), q, 0,
                           f_rho, rho, T)
-    return ConstantReport("ao-odd-sum-53", 53, iv,
-                          "even-index coefficient sum of the symmetrized "
-                          "orthogonal series at q=3")
+    return 53, iv, ("even-index coefficient sum of the symmetrized "
+                    "orthogonal series at q=3")
 
 
-def _const_o_odd_dim_classical():
-    # (1/2) sum over odd indices of H coefficients at weight q^-m, q = 3
+def _const_o_classical(parity, claimed):
+    # sum over indices of the given parity of H coefficients at weight
+    # q^-m, q = 3, halved for odd dimension
     q = 3
-    T = 121
+    T = 120 + parity
     h = _h_series(T)
     rho = Fraction(7, 10)
-    h_rho = _h_value_interval(rho)
-    iv = _coefficient_sum(lambda j: Fraction(h.coeff(j)), q, 1,
-                          h_rho, rho, T)
-    iv = iv * Fraction(1, 2)
-    return ConstantReport("o-odd-dim-14.2", Fraction(71, 5), iv,
-                          "half the odd-index coefficient sum of "
-                          "prod (1+u^(2i-1))^4/(1-u^(2i)) at q=3")
-
-
-def _const_o_even_dim_classical():
-    q = 3
-    T = 120
-    h = _h_series(T)
-    rho = Fraction(7, 10)
-    h_rho = _h_value_interval(rho)
-    iv = _coefficient_sum(lambda j: Fraction(h.coeff(j)), q, 0,
-                          h_rho, rho, T)
-    return ConstantReport("o-even-dim-16.3", Fraction(163, 10), iv,
-                          "even-index coefficient sum of "
-                          "prod (1+u^(2i-1))^4/(1-u^(2i)) at q=3")
+    iv = _coefficient_sum(lambda j: Fraction(h.coeff(j)), q, parity,
+                          _h_value_interval(rho), rho, T)
+    if parity:
+        iv = iv * Fraction(1, 2)
+    return claimed, iv, ("%s coefficient sum of prod (1+u^(2i-1))^4/(1-u^(2i)) "
+                         "at q=3" % ("half the odd-index" if parity else "even-index"))
 
 
 def _const_ao_even_sum():
     q = 2
-    t = _half(q)
+    t = _reciprocal(q)
     p1 = geometric_factor_product(t, 1, 0, +1, False) \
         * geometric_factor_product(t, 2, -1, +1, False, power=2) \
         * geometric_factor_product(t, 1, 0, -1, True)
@@ -555,8 +510,7 @@ def _const_ao_even_sum():
         * geometric_factor_product(t, 4, -2, -1, True) \
         * geometric_factor_product(t, 1, 0, -1, True, power=2)
     iv = Fraction(1, 1) / (1 - t) * (p1 + Fraction(4 * (q - 1), q) * p2)
-    return ConstantReport(
-        "ao-even-sum-111.6", Fraction(558, 5), iv,
+    return Fraction(558, 5), iv, (
         "the even-characteristic orthogonal master value at q=2; the "
         "rigorous lower end already exceeds the claimed constant, so the "
         "claim fails as stated (the final 60 q^n bound is still confirmed "
@@ -564,17 +518,14 @@ def _const_ao_even_sum():
 
 
 def _const_ao_odd_combine():
-    iv = Interval(Fraction(53 + Fraction(33, 10), 2),
-                  Fraction(53 + Fraction(33, 10), 2))
-    return ConstantReport("ao-odd-combine-29", 29, iv,
-                          "(53 + 3.3)/2 = 28.15, exact arithmetic")
+    val = Fraction(53 + Fraction(33, 10), 2)
+    return 29, Interval(val, val), "(53 + 3.3)/2 = 28.15, exact arithmetic"
 
 
 def _const_ao_even_combine():
     val = Fraction(Fraction(558, 5) + Fraction(42, 5), 2)
-    return ConstantReport("ao-even-combine-60", 60, Interval(val, val),
-                          "(111.6 + 8.4)/2 = 60, exact arithmetic on the "
-                          "claimed ingredients")
+    return 60, Interval(val, val), ("(111.6 + 8.4)/2 = 60, exact arithmetic on "
+                                    "the claimed ingredients")
 
 
 _CONSTANTS = {
@@ -583,12 +534,12 @@ _CONSTANTS = {
     "asp-odd-master-27": _const_asp_odd_master,
     "asp-even-master-56": _const_asp_even_master,
     "ao-odd-sum-53": _const_ao_odd_sum,
-    "ao-odd-diff-3.3": _const_ao_odd_diff,
+    "ao-odd-diff-3.3": partial(_const_ao_diff, 3, Fraction(33, 10)),
     "ao-odd-combine-29": _const_ao_odd_combine,
-    "o-odd-dim-14.2": _const_o_odd_dim_classical,
-    "o-even-dim-16.3": _const_o_even_dim_classical,
+    "o-odd-dim-14.2": partial(_const_o_classical, 1, Fraction(71, 5)),
+    "o-even-dim-16.3": partial(_const_o_classical, 0, Fraction(163, 10)),
     "ao-even-sum-111.6": _const_ao_even_sum,
-    "ao-even-diff-8.4": _const_ao_even_diff,
+    "ao-even-diff-8.4": partial(_const_ao_diff, 2, Fraction(42, 5)),
     "ao-even-combine-60": _const_ao_even_combine,
 }
 
@@ -601,7 +552,7 @@ def certify_constant(const_id: str) -> ConstantReport:
         builder = _CONSTANTS[const_id]
     except KeyError:
         raise KeyError("unknown constant id %r" % (const_id,)) from None
-    return builder()
+    return ConstantReport(const_id, *builder())
 
 
 def certify_all():

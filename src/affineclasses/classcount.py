@@ -126,7 +126,7 @@ def _to_int(x):
     return int(f)
 
 
-def _characteristic(q, ch: str = "") -> str:
+def characteristic(q, ch: str = "") -> str:
     """The characteristic ("odd" or "even") a route computes in.  In value
     mode it follows from q, which must be a prime power, and a ch that
     contradicts q is an error; in symbolic mode it is ch, odd by default."""
@@ -258,7 +258,7 @@ _CLASSICAL = {
 def classical_series(family: str, q, order: int = DEFAULT_ORDER,
                      ch: str = "") -> TruncatedSeries:
     """Generating function of k(G(n,q)) for a classical family."""
-    ch = _characteristic(q, ch)
+    ch = characteristic(q, ch)
     if (family, ch) not in _CLASSICAL:
         raise ValueError("%r is not a classical family" % (family,))
     return _CLASSICAL[family, ch](q, order)
@@ -284,7 +284,7 @@ def _geo(c, j, q, order):
 def affine_series(family: str, q, order: int = DEFAULT_ORDER,
                   ch: str = "") -> TruncatedSeries:
     """Generating function of k(AG(n,q)) for an affine family."""
-    ch = _characteristic(q, ch)
+    ch = characteristic(q, ch)
     if family not in AFFINE_FAMILIES:
         raise ValueError("%r is not an affine family" % (family,))
     one = TruncatedSeries.one(_ring_for(q), order)
@@ -376,7 +376,7 @@ def _rows(family: str, q, n_max: int, ch: str, coeffs) -> tuple:
     the AO-sum and AO-diff sequences, whose order all three share."""
     if family not in TABLE_FAMILIES:
         raise ValueError("unknown table family %r" % (family,))
-    ch = _characteristic(q, ch)
+    ch = characteristic(q, ch)
     if family == "ao-odd" and ch == "even":
         raise ValueError("odd-dimensional orthogonal groups need odd q")
     if family in _ONE_SERIES:
@@ -427,7 +427,7 @@ def orbit_built_series(family: str, q, order: int = DEFAULT_ORDER,
     series with its unipotent factor swapped for a weighted one, which
     collapses to multiplication by an explicit rational function of u.
     """
-    ch = _characteristic(q, ch)
+    ch = characteristic(q, ch)
     if family not in AFFINE_FAMILIES:
         raise ValueError("unknown orbit family %r" % (family,))
     if family not in ("AGL", "AGU") and ch != "odd":
@@ -467,7 +467,7 @@ def orbit_built_series(family: str, q, order: int = DEFAULT_ORDER,
 
 def affine_recursive(family: str, q, n_max: int, ch: str = "") -> tuple:
     """Affine counts from the recursions, using only classical baselines."""
-    ch = _characteristic(q, ch)
+    ch = characteristic(q, ch)
     if family not in AFFINE_FAMILIES:
         raise ValueError("%r is not an affine family" % (family,))
     symbolic = isinstance(q, QPoly)

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from .classcount import (AFFINE_FAMILIES, affine_counts, affine_recursive,
-                         affine_series, classical_series, k_ah,
+                         affine_series, characteristic, classical_series, k_ah,
                          necklace_product, orbit_built_series, orbit_counts,
                          recursion_counts, row_dimension, sp_even_proof_form)
 from .oracle import (CapExceeded, DEFAULT_CAP, VERIFICATION_GRID, AffineGroup,
@@ -201,55 +201,49 @@ def cmd_table(args) -> int:
     if args.symbolic_q:
         if args.q is not None:
             raise UsageError("--q and --symbolic-q are mutually exclusive")
-        ch = args.char or "odd"
-        q = Q
-        q_label = "symbolic"
+        q, q_label = Q, "symbolic"
     else:
         if args.q is None:
             raise UsageError("one of --q or --symbolic-q is required")
-        if args.q < 2:
-            raise UsageError("q must be at least 2")
-        ch = "odd" if args.q % 2 else "even"
-        if args.char and args.char != ch:
-            raise UsageError("--char %s contradicts q = %d" % (args.char, args.q))
-        q = args.q
-        q_label = str(args.q)
-    if fam == "ao-odd" and ch != "odd":
-        raise UsageError("odd-dimensional orthogonal groups need odd q")
+        q, q_label = args.q, str(args.q)
+    # q, --char and every route raise ValueError on input outside the domain
+    try:
+        ch = characteristic(q, args.char or "")
+        if fam == "ao-odd" and ch != "odd":
+            raise UsageError("odd-dimensional orthogonal groups need odd q")
 
-    n_max = args.n_max if args.n_max is not None else _config_int(cfg, "order")
-    if n_max is None:
-        n_max = 8
-    if n_max < 1:
-        raise UsageError("--n-max must be at least 1")
+        n_max = args.n_max if args.n_max is not None else _config_int(cfg, "order")
+        if n_max is None:
+            n_max = 8
+        if n_max < 1:
+            raise UsageError("--n-max must be at least 1")
 
-    if args.methods:
-        methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-        for m in methods:
-            if m not in METHOD_ORDER:
-                raise UsageError("unknown method %r" % (m,))
-        if "oracle" in methods and args.symbolic_q:
-            raise UsageError("the oracle route has no symbolic mode")
-        if "orbit-assembly" in methods and not _orbit_supported(fam, ch):
-            raise UsageError("orbit-assembly for %s needs odd characteristic"
-                             % (display,))
-        methods = [m for m in METHOD_ORDER if m in methods]
-    else:
-        methods = ["closed-form", "recursion"]
-        if _orbit_supported(fam, ch):
-            methods.append("orbit-assembly")
+        if args.methods:
+            methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+            for m in methods:
+                if m not in METHOD_ORDER:
+                    raise UsageError("unknown method %r" % (m,))
+            if "oracle" in methods and args.symbolic_q:
+                raise UsageError("the oracle route has no symbolic mode")
+            if "orbit-assembly" in methods and not _orbit_supported(fam, ch):
+                raise UsageError("orbit-assembly for %s needs odd characteristic"
+                                 % (display,))
+            methods = [m for m in METHOD_ORDER if m in methods]
+        else:
+            methods = ["closed-form", "recursion"]
+            if _orbit_supported(fam, ch):
+                methods.append("orbit-assembly")
 
-    cap = resolve_cap(args.cap, cfg)
-    records = []
-    for method in methods:
-        try:
+        cap = resolve_cap(args.cap, cfg)
+        records = []
+        for method in methods:
             values = _route_values(method, fam, ch, q, n_max, cap)
-        except ValueError as e:
-            raise UsageError(str(e))
-        for n, value in enumerate(values, 1):
-            records.append(OutputRecord(
-                display, ch, n, row_dimension(fam, n), q_label, method,
-                str(value), "ok"))
+            for n, value in enumerate(values, 1):
+                records.append(OutputRecord(
+                    display, ch, n, row_dimension(fam, n), q_label, method,
+                    str(value), "ok"))
+    except ValueError as e:
+        raise UsageError(str(e))
 
     fmt = args.format or cfg.get("format") or "csv"
     if fmt not in RENDERERS:

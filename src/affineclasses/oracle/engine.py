@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from itertools import product
 
-from ..partitions import Partition, d_stat, enum_partitions, o_gl, o_gu
+from ..partitions import Partition, o_gl, o_gu
 from . import kernels
-from .field import FiniteField, field_for_order
+from .field import FiniteField
 from .groups import (CapExceeded, DEFAULT_CAP, MatrixGroup, _field_for,
-                     build_group, expected_order, index_vec, mat_identity,
-                     mat_mul, mat_rank, mat_sub, p_compose, vec_index)
+                     build_group, expected_order, mat_identity, mat_mul,
+                     mat_rank, mat_sub, p_compose, points, vec_index)
 
 
 def _vector_tables(F: FiniteField, n: int, cap: int):
@@ -38,8 +37,8 @@ def _vector_tables(F: FiniteField, n: int, cap: int):
 @lru_cache(maxsize=4)
 def _point_tables(F: FiniteField, n: int):
     size = F.size
-    mv = size ** n
-    vecs = [index_vec(i, size, n) for i in range(mv)]
+    vecs = points(F, n)
+    mv = len(vecs)
     add = array("i", [0]) * (mv * mv)
     for a in range(mv):
         va = vecs[a]
@@ -53,10 +52,10 @@ def _point_tables(F: FiniteField, n: int):
 
 
 class ClassDecomposition:
-    """Conjugacy classes of a finite group: aligned representatives, class
-    sizes, centralizer orders.  Sizes must partition the group order."""
+    """Conjugacy classes of a finite group: aligned representative indices,
+    class sizes, centralizer orders.  Sizes must partition the group order."""
 
-    def __init__(self, group_order, representatives, sizes, rep_indices):
+    def __init__(self, group_order, sizes, rep_indices):
         if sum(sizes) != group_order:
             raise AssertionError("class sizes sum to %d, group order is %d"
                                  % (sum(sizes), group_order))
@@ -65,7 +64,6 @@ class ClassDecomposition:
                 raise AssertionError("class size %d does not divide %d"
                                      % (s, group_order))
         self.order = group_order
-        self.representatives = representatives
         self.sizes = sizes
         self.rep_indices = rep_indices
         self.centralizer_orders = [group_order // s for s in sizes]
@@ -82,8 +80,8 @@ class AffineGroup:
     """V x| G for a matrix group G on V = F^n.
 
     The element list is virtual: the pair (A, v) lives at index
-    e = index(A) * |V| + index(v) and is materialized on demand, so groups
-    near the cap never hold millions of tuples at once.
+    e = index(A) * |V| + index(v) and is never materialized, so groups near
+    the cap never hold millions of tuples at once.
     """
 
     def __init__(self, base: MatrixGroup, cap: int = DEFAULT_CAP):
@@ -99,10 +97,6 @@ class AffineGroup:
                               % (self.order, cap))
         self.cap = cap
         self._classes = None
-
-    def element(self, e: int):
-        gi, vi = divmod(e, self.mv)
-        return self.base.elements[gi], index_vec(vi, self.field.size, self.n)
 
     def __len__(self):
         return self.order
@@ -141,8 +135,7 @@ VERIFICATION_GRID = tuple(
 def _matrix_classes(group: MatrixGroup) -> ClassDecomposition:
     N = group.order
     reps_idx, sizes = kernels.orbit_scan(group.conj_table(), len(group.gen_perms), N)
-    reps = [group.elements[i] for i in reps_idx]
-    return ClassDecomposition(N, reps, sizes, reps_idx)
+    return ClassDecomposition(N, sizes, reps_idx)
 
 
 def _commutator_cosets(group: MatrixGroup, add, neg):
@@ -154,7 +147,8 @@ def _commutator_cosets(group: MatrixGroup, add, neg):
     zero subspace by adding one column at a time; each step (subspace,
     vector) -> subspace is computed once."""
     F, n = group.field, group.n
-    mv = F.size ** n
+    pts = points(F, n)
+    mv = len(pts)
     basis = [F.size ** j for j in range(n)]
     spaces = [(0,)]
     ids = {(0,): 0}
@@ -164,8 +158,7 @@ def _commutator_cosets(group: MatrixGroup, add, neg):
         space = spaces[s]
         if w in space:
             return s
-        wv = index_vec(w, F.size, n)
-        line = [vec_index(tuple(F.mul(k, x) for x in wv), F.size)
+        line = [vec_index(tuple(F.mul(k, x) for x in pts[w]), F.size)
                 for k in range(1, F.size)]
         key = tuple(sorted(set(space).union(
             add[x * mv + y] for x in space for y in line)))
@@ -205,13 +198,12 @@ def _affine_classes(ag: AffineGroup) -> ClassDecomposition:
     mv = ag.mv
     add, neg = _vector_tables(ag.field, ag.n, ag.cap)
     sub_of, labels, cosets = _commutator_cosets(g, add, neg)
-    points = array("i")
+    images = array("i")
     for hp in g.gen_perms:
-        points.extend(hp[:mv])
+        images.extend(hp[:mv])
     reps_e, sizes = kernels.affine_orbit_scan(
-        g.conj_table(), points, sub_of, labels, cosets, g.order, mv)
-    reps = [ag.element(e) for e in reps_e]
-    return ClassDecomposition(ag.order, reps, sizes, reps_e)
+        g.conj_table(), images, sub_of, labels, cosets, g.order, mv)
+    return ClassDecomposition(ag.order, sizes, reps_e)
 
 
 def count_classes(group) -> ClassDecomposition:
@@ -335,71 +327,3 @@ def formula_check_o(group: MatrixGroup) -> FormulaReport:
                         "ok": good})
     return FormulaReport(tuple(entries), total, ok)
 
-
-# ---------------------------------------------------------------------------
-# direct class sum for AGL from polynomial data
-
-def _poly_rem(F: FiniteField, a, b):
-    """Remainder of a modulo the monic polynomial b; coefficient tuples are
-    lowest-degree first."""
-    a = list(a)
-    db = len(b) - 1
-    while len(a) - 1 >= db:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - db
-            for i in range(db + 1):
-                a[shift + i] = F.sub(a[shift + i], F.mul(lead, b[i]))
-        a.pop()
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return tuple(a)
-
-
-def _irreducible_polys(F: FiniteField, maxdeg: int):
-    """Monic irreducible polynomials of degree 1..maxdeg over F, excluding
-    z itself, as lowest-first coefficient tuples with leading 1."""
-    irr = []
-    for d in range(1, maxdeg + 1):
-        for tail in product(range(F.size), repeat=d):
-            p = tail + (1,)
-            if any(len(g) - 1 <= d // 2 and _poly_rem(F, p, g) == (0,)
-                   for g in irr):
-                continue
-            irr.append(p)
-    z = (0, 1)
-    return [p for p in irr if p != z]
-
-
-def gl_direct_class_sum(n: int, q: int, n_limit: int = 4, q_limit: int = 5) -> int:
-    """Class count of the affine group of GL(n, q), summed directly over the
-    polynomial-and-partition data of GL classes: every class assigns a
-    partition to each monic irreducible (z excluded), total weighted degree
-    n, and contributes d+1 orbits through its z-1 partition, 1 otherwise."""
-    if not 1 <= n <= n_limit:
-        raise ValueError("n must be between 1 and %d" % n_limit)
-    if q > q_limit:
-        raise ValueError("q is limited to %d here" % q_limit)
-    F = field_for_order(q)
-    zm1 = (F.neg(1), 1)
-    others = [p for p in _irreducible_polys(F, n) if p != zm1]
-    degs = [len(p) - 1 for p in others]
-    npart = [len(enum_partitions(j)) for j in range(n + 1)]
-
-    def assignments(i: int, w: int) -> int:
-        if w == 0:
-            return 1
-        if i == len(degs):
-            return 0
-        total = 0
-        j = 0
-        while j * degs[i] <= w:
-            total += npart[j] * assignments(i + 1, w - j * degs[i])
-            j += 1
-        return total
-
-    total = 0
-    for m in range(n + 1):
-        for lam in enum_partitions(m):
-            total += (d_stat(lam) + 1) * assignments(0, n - m)
-    return total

@@ -2,9 +2,11 @@
 
 Matrices are tuples of n*n field elements in row-major order.  Every group
 carries, for each element, the permutation it induces on the points of the
-natural module V = F^n; points are indexed by little-endian base-|F| digits.
-Permutations over at most 256 points are stored as 256-byte translation
-tables so composition runs through bytes.translate.
+natural module V = F^n; points are indexed by little-endian base-|F| digits,
+and points(F, n) lists their vectors in index order, so permutations and
+matrices are read off one table.  Permutations over at most 256 points are
+stored as 256-byte translation tables so composition runs through
+bytes.translate.
 
 Every group is built one way: the closure of a generator recipe, accepted
 only when it reaches the standard order formula (see build_group).
@@ -13,8 +15,10 @@ Forms are fixed once:
   * symplectic: block-antidiagonal Gram [[0, I], [-I, 0]];
   * hermitian: identity Gram with conjugation x -> x^p;
   * orthogonal, odd characteristic: identity Gram, or the same with a single
-    non-square in the corner; which of the two types each Gram yields is
-    decided by whether the closure reaches the requested type's order;
+    non-square in the corner.  A form of dimension 2m is of plus type iff
+    (-1)^m det is a square (Kleidman-Liebeck, The Subgroup Structure of the
+    Finite Classical Groups, 1990, 2.5), so the identity Gram is of plus
+    type iff m is even or q = 1 mod 4, and the twisted one of the other;
   * orthogonal, characteristic 2: quadratic forms x1 x2 + x3 x4 + ... for
     plus type, with the last hyperbolic pair replaced by an anisotropic
     binary form for minus type.
@@ -23,6 +27,7 @@ Forms are fixed once:
 from __future__ import annotations
 
 from array import array
+from functools import lru_cache
 
 from ..primes import prime_power
 from .field import FiniteField, field_for_order, finite_field
@@ -140,6 +145,13 @@ def index_vec(idx: int, size: int, n: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=4)
+def points(F: FiniteField, n: int) -> tuple:
+    """The vectors of F^n in index order: points(F, n)[i] has index i."""
+    size = F.size
+    return tuple(index_vec(i, size, n) for i in range(size ** n))
+
+
 def identity_perm(mv: int):
     if mv <= 256:
         return bytes(range(256))
@@ -148,31 +160,9 @@ def identity_perm(mv: int):
 
 def perm_from_matrix(F: FiniteField, mat: tuple, n: int):
     size = F.size
-    mv = size ** n
-    cols = [mat_vec(F, mat, tuple(1 if k == j else 0 for k in range(n)), n)
-            for j in range(n)]
-    if n == 1:
-        out = [vec_index(mat_vec(F, mat, (x,), 1), size) for x in range(mv)]
-    else:
-        # build images dimension by dimension: the point with index
-        # lo + d*size^k maps to image(lo) + d*col_k
-        images = [0]
-        for k in range(n):
-            scaled = []
-            for d in range(size):
-                v = tuple(F.mul(d, c) for c in cols[k])
-                scaled.append(index_vec(vec_index(v, size), size, n))
-            new_images = []
-            for d in range(size):
-                sv = scaled[d]
-                for lo in images:
-                    lv = index_vec(lo, size, n)
-                    w = tuple(F.add(a, b) for a, b in zip(lv, sv))
-                    new_images.append(vec_index(w, size))
-            images = new_images
-        out = images
-    if mv <= 256:
-        return bytes(out) + bytes(range(mv, 256))
+    out = [vec_index(mat_vec(F, mat, v, n), size) for v in points(F, n)]
+    if len(out) <= 256:
+        return bytes(out) + bytes(range(len(out), 256))
     return tuple(out)
 
 
@@ -378,11 +368,8 @@ def expected_order(family: str, n: int, q: int) -> int:
 
 def _proj_vectors(F: FiniteField, n: int):
     """Nonzero vectors with first nonzero coordinate 1, ascending index."""
-    size = F.size
-    for idx in range(1, size ** n):
-        v = index_vec(idx, size, n)
-        lead = next(x for x in v if x)
-        if lead == 1:
+    for v in points(F, n)[1:]:
+        if next(x for x in v if x) == 1:
             yield v
 
 
@@ -585,7 +572,7 @@ def _field_for(family: str, q: int) -> FiniteField:
     return field_for_order(q)
 
 
-def _resolve_form(family: str, F: FiniteField, n: int, q: int, twist: bool = False):
+def _resolve_form(family: str, F: FiniteField, n: int, q: int) -> FormData:
     if family in ("GL", "SL"):
         return FormData("none", label="no form")
     if family in ("GU", "SU"):
@@ -602,7 +589,8 @@ def _resolve_form(family: str, F: FiniteField, n: int, q: int, twist: bool = Fal
             raise ValueError("no form of type %s in dimension %d" % (family, n))
         if q % 2 == 0:
             return orthogonal_form_char2(F, n, plus=family == "O+")
-        return orthogonal_form_odd(F, n, twist=twist)
+        identity_plus = (n // 2) % 2 == 0 or q % 4 == 1
+        return orthogonal_form_odd(F, n, twist=identity_plus != (family == "O+"))
     raise ValueError("unknown family %r" % (family,))
 
 
@@ -617,7 +605,9 @@ def build_group(family: str, n: int, q: int, cap: int = DEFAULT_CAP) -> MatrixGr
     quasi-reflections, and O+(4,2), the swap of its two hyperbolic pairs.
     Candidates outside the group are dropped before the closure, so the
     closure is a subgroup and reaching the order formula proves it is the
-    whole group.
+    whole group.  The form, and with it the type of an orthogonal group, is
+    fixed before the closure (see the module docstring); the closure is
+    taken once, and a recipe or form that misses the order raises.
     """
     if family not in GROUP_FAMILIES:
         raise ValueError("unknown family %r (choose from %s)"
@@ -633,8 +623,6 @@ def build_group(family: str, n: int, q: int, cap: int = DEFAULT_CAP) -> MatrixGr
         raise CapExceeded("group order %d on %d points stores %d point images, "
                           "over 32 * cap %d" % (expected, mv, expected * mv, cap))
 
-    if family in ("O+", "O-") and q % 2:
-        return _build_odd_orthogonal(family, n, q, F, expected)
     form = _resolve_form(family, F, n, q)
     return _assemble(family, n, q, F, form, expected)
 
@@ -649,27 +637,15 @@ def _assemble(family, n, q, F, form, expected) -> MatrixGroup:
     gen_pos, closure = _greedy_generators(cand_perms, size ** n, expected)
     generators = [cands[i] for i in gen_pos]
     gen_perms = [cand_perms[i] for i in gen_pos]
+    # column j of an element is the image of e_j, which has index size**j
+    pts = points(F, n)
+    basis = [size ** j for j in range(n)]
     pairs = []
     for p in closure:
-        cols = []
-        for j in range(n):
-            e_j = vec_index(tuple(1 if k == j else 0 for k in range(n)), size)
-            cols.append(index_vec(p[e_j], size, n))
-        mat = tuple(cols[j][i] for i in range(n) for j in range(n))
-        pairs.append((mat, p))
+        cols = [pts[p[b]] for b in basis]
+        pairs.append((tuple(x for row in zip(*cols) for x in row), p))
     pairs.sort(key=lambda t: t[0])
     mats = [t[0] for t in pairs]
     perms = [t[1] for t in pairs]
     return MatrixGroup(family, n, q, F, form, mats, perms, generators, gen_perms)
 
-
-def _build_odd_orthogonal(family, n, q, F, expected) -> MatrixGroup:
-    """Even-dimensional odd-characteristic orthogonal groups: the identity
-    Gram realizes one of the two types; when its closure does not match
-    the requested order, the twisted Gram realizes the other."""
-    try:
-        return _assemble(family, n, q, F,
-                         _resolve_form(family, F, n, q, twist=False), expected)
-    except RuntimeError:
-        return _assemble(family, n, q, F,
-                         _resolve_form(family, F, n, q, twist=True), expected)

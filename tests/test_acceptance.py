@@ -17,7 +17,7 @@ import pytest
 
 from affineclasses.bounds import (BOUND_SPECS, Q_ALL, certify_all,
                                   check_ah_theorem, check_all_bounds, k_agl,
-                                  k_ao_even_dim, k_ao_odd_dim, k_asp)
+                                  k_ao_even_dim, k_asp)
 from affineclasses.classcount import affine_counts, affine_series, k_ah
 from affineclasses.cli import suite_cross_method, suite_identities, suite_oracle
 from affineclasses.oracle import build_affine, build_group, count_classes

@@ -15,12 +15,17 @@ import pytest
 
 from affineclasses import classcount
 from affineclasses.bounds import (BOUND_SPECS, CONSTANT_IDS, Q_ALL, BoundSpec,
-                                  Interval, bound_spec, certify_all,
-                                  certify_constant, check_ah_theorem,
-                                  check_all_bounds, check_bound,
-                                  geometric_factor_product, k_agl, k_agu,
-                                  k_ao_even_dim, k_ao_odd_dim, k_asp)
+                                  Interval, certify_all, certify_constant,
+                                  check_ah_theorem, check_all_bounds,
+                                  check_bound, geometric_factor_product,
+                                  k_agl, k_ao_even_dim, k_asp)
 from affineclasses.classcount import affine_counts, affine_recursive
+
+SPECS = {spec.id: spec for spec in BOUND_SPECS}
+
+
+def width(iv):
+    return iv.hi - iv.lo
 
 # independently computed (40-digit arithmetic, different algorithm)
 CONSTANT_REFERENCES = {
@@ -54,9 +59,6 @@ class TestInterval:
         assert p.lo == Fraction(1, 8) and p.hi == Fraction(27, 64)
         assert a.power(0).lo == 1 and a.power(0).hi == 1
 
-    def test_width(self):
-        assert Interval(Fraction(1, 3), Fraction(1, 2)).width() == Fraction(1, 6)
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Interval(2, 1)
@@ -73,7 +75,7 @@ class TestGeometricProduct:
         iv = geometric_factor_product(Fraction(1, 2), 1, 0, +1, False)
         pad = Fraction(1, 10**12)  # float literals carry ~16 digits
         assert iv.lo - pad <= Fraction(2.3842310290313717) <= iv.hi + pad
-        assert iv.width() < Fraction(1, 10**12)
+        assert width(iv) < Fraction(1, 10**12)
 
     def test_inverse_product_encloses_reference(self):
         # prod 1/(1-2^-i) = 3.462746619455062...
@@ -91,7 +93,7 @@ class TestGeometricProduct:
         coarse = geometric_factor_product(Fraction(1, 2), 1, 0, +1, False, terms=10)
         fine = geometric_factor_product(Fraction(1, 2), 1, 0, +1, False, terms=40)
         assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
-        assert fine.width() < coarse.width()
+        assert width(fine) < width(coarse)
 
     def test_power_argument(self):
         single = geometric_factor_product(Fraction(1, 3), 1, 0, +1, False)
@@ -126,7 +128,7 @@ class TestConstants:
     @pytest.mark.parametrize("cid", CONSTANT_IDS)
     def test_enclosure_is_tight(self, cid):
         rep = certify_constant(cid)
-        assert rep.interval.width() < Fraction(1, 10**6)
+        assert width(rep.interval) < Fraction(1, 10**6)
 
     @pytest.mark.parametrize("cid", [c for c in CONSTANT_IDS
                                      if c != "ao-even-sum-111.6"])
@@ -174,7 +176,7 @@ class TestBoundGrid:
 
     def test_exception_cells_match(self):
         for spec_id, expected in GRID_EXCEPTIONS.items():
-            rep = check_bound(bound_spec(spec_id))
+            rep = check_bound(SPECS[spec_id])
             seen = {(c["n"], c["q"]): c["k"] for c in rep.cells
                     if c["verdict"] == "exception"}
             assert seen == expected, spec_id
@@ -206,14 +208,15 @@ class TestBoundGrid:
 
     def test_small_dimension_closed_forms(self):
         for q in (3, 5, 7, 9):
-            assert k_ao_odd_dim(q, 0) == (q + 3) // 2
-            assert k_ao_odd_dim(q, 1) == (q * q + 10 * q + 5) // 2
+            ao_odd = affine_counts("ao-odd", q, 1)
+            assert ao_odd[0] == (q + 3) // 2
+            assert ao_odd[1] == (q * q + 10 * q + 5) // 2
             assert k_asp(q, 1) == 2 * q + 4
         for q in (2, 4, 8):
             assert k_ao_even_dim(q, 1, True) == 5 * q // 2
             assert k_ao_even_dim(q, 1, False) == 5 * q // 2
         for q in (2, 3, 4, 5, 7, 8, 9):
-            assert k_agu(q, 1) == 2 * q
+            assert affine_counts("agu", q, 1)[1] == 2 * q
 
     def test_stated_symplectic_values(self):
         assert k_asp(3, 2) == 58
@@ -222,17 +225,17 @@ class TestBoundGrid:
     def test_open_question_small_odd_orthogonal(self):
         # dimension-5 odd orthogonal cell at q=3: strictly below q^5,
         # cross-checked against the recursion route
-        k = k_ao_odd_dim(3, 2)
+        k = affine_counts("ao-odd", 3, 2)[2]
         rec = affine_recursive("AO-sum", 3, 5)
         assert 2 * k == rec[5]  # the sum series doubles the odd-dim count
         assert k == 119
         assert k < 3 ** 5
 
     def test_asu_sandwich_handles_tight_cells(self):
-        rep = check_bound(bound_spec("asu-sandwich-q2n"), q_set=(2,), n_max=6)
+        rep = check_bound(SPECS["asu-sandwich-q2n"], q_set=(2,), n_max=6)
         assert rep.ok
         # the index majorant alone would fail at q=2, n=3: 3 k(AGU(3,2)) > 64
-        assert 3 * k_agu(2, 3) > 2 ** 6
+        assert 3 * affine_counts("agu", 2, 3)[3] > 2 ** 6
 
     def test_violation_path(self):
         bad = BoundSpec("too-tight", "AGL", "any", "k(AGL) <= q^n, false",
@@ -251,14 +254,10 @@ class TestBoundGrid:
         assert [c["verdict"] for c in rep.cells] == ["VIOLATION", "holds"]
 
     def test_characteristic_filter(self):
-        spec = bound_spec("asp-odd-27qn")
+        spec = SPECS["asp-odd-27qn"]
         assert spec.q_set((2, 3, 4, 5)) == [3, 5]
-        spec = bound_spec("asp-even-56qn")
+        spec = SPECS["asp-even-56qn"]
         assert spec.q_set((2, 3, 4, 5)) == [2, 4]
-
-    def test_unknown_spec_id(self):
-        with pytest.raises(KeyError):
-            bound_spec("nope")
 
     def test_spec_ids_unique(self):
         ids = [s.id for s in BOUND_SPECS]
@@ -266,7 +265,7 @@ class TestBoundGrid:
 
     def test_odd_dim_needs_odd_q(self):
         with pytest.raises(ValueError):
-            k_ao_odd_dim(2, 1)
+            affine_counts("ao-odd", 2, 1)
 
     def test_each_series_is_built_once(self, monkeypatch):
         calls = Counter()

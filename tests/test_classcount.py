@@ -7,11 +7,11 @@ from affineclasses.classcount import (
     AFFINE_FAMILIES,
     OrbitPieces,
     TABLE_FAMILIES,
-    _characteristic,
     affine_counts,
     affine_recursive,
     affine_series,
     ao_split,
+    characteristic,
     classical_series,
     k_ah,
     moebius,
@@ -43,23 +43,23 @@ def series_at(s, q0):
 
 class TestCharacteristic:
     def test_value_mode_takes_it_from_q(self):
-        assert [_characteristic(q) for q in (2, 3, 4, 9, 27)] == [
+        assert [characteristic(q) for q in (2, 3, 4, 9, 27)] == [
             "even", "odd", "even", "odd", "odd"]
-        assert _characteristic(4, "even") == "even"
-        assert _characteristic(Fraction(5)) == "odd"
+        assert characteristic(4, "even") == "even"
+        assert characteristic(Fraction(5)) == "odd"
 
     def test_symbolic_mode_takes_ch(self):
-        assert _characteristic(Q) == "odd"
-        assert _characteristic(Q, "even") == "even"
+        assert characteristic(Q) == "odd"
+        assert characteristic(Q, "even") == "even"
         with pytest.raises(ValueError):
-            _characteristic(Q, "zero")
+            characteristic(Q, "zero")
 
     @pytest.mark.parametrize("q,ch", [(4, "odd"), (3, "even"), (3, "zero"),
                                       (6, ""), (1, ""), (-4, ""),
                                       (Fraction(5, 2), "")])
     def test_rejects(self, q, ch):
         with pytest.raises(ValueError):
-            _characteristic(q, ch)
+            characteristic(q, ch)
 
     def test_validation(self):
         with pytest.raises(ValueError):

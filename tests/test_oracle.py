@@ -7,6 +7,7 @@ AFFINECLASSES_BIG=1 to also run the 6.6-million-element ASU(4,2) cell.
 
 import os
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -15,16 +16,17 @@ from hypothesis import strategies as st
 from affineclasses.classcount import affine_series, ao_split
 from affineclasses.oracle import (AffineGroup, CapExceeded, VERIFICATION_GRID,
                                   build_affine, build_group, count_classes,
-                                  expected_order, field_for_order,
-                                  finite_field, formula_check_o,
-                                  gl_direct_class_sum, mat_det, mat_identity,
-                                  mat_mul, orbit_sum_check, preserves_form,
-                                  unipotent_partition)
+                                  formula_check_o, orbit_sum_check)
 from affineclasses.oracle import groups as groups_mod
 from affineclasses.oracle import kernels as kernel_mod
-from affineclasses.oracle.groups import (_greedy_generators, index_vec,
-                                        mat_vec, p_compose, p_invert,
-                                        perm_from_matrix, vec_index)
+from affineclasses.oracle.engine import unipotent_partition
+from affineclasses.oracle.field import field_for_order, finite_field
+from affineclasses.oracle.groups import (_greedy_generators, expected_order,
+                                        index_vec, mat_det, mat_identity,
+                                        mat_mul, mat_vec, p_compose, p_invert,
+                                        perm_from_matrix, points,
+                                        preserves_form, vec_index)
+from affineclasses.partitions import d_stat, enum_partitions
 
 
 def affine_count(family, characteristic, q, n):
@@ -164,15 +166,51 @@ class TestBuildGroup:
             assert mat_det(g.field, m, 2) == 1
 
     def test_perms_match_matrices(self):
-        g = build_group("GL", 2, 3)
-        for m, p in zip(g.elements, g.perms):
-            assert p == perm_from_matrix(g.field, m, 2)
+        # GL(2,3) keeps byte tables (9 points), SL(2,19) tuples (361 points;
+        # every 40th of its 6840 elements keeps the test short)
+        for family, q, step in [("GL", 3, 1), ("SL", 19, 40)]:
+            g = build_group(family, 2, q)
+            F, size = g.field, g.field.size
+            for m, p in zip(g.elements[::step], g.perms[::step]):
+                assert p == perm_from_matrix(F, m, 2)
+                for x in range(size ** 2):
+                    v = index_vec(x, size, 2)
+                    assert p[x] == vec_index(mat_vec(F, m, v, 2), size)
 
     def test_orthogonal_types_differ(self):
         plus = build_group("O+", 2, 3)
         minus = build_group("O-", 2, 3)
         assert plus.order == 4 and minus.order == 8
         assert plus.form.gram != minus.form.gram
+
+    @pytest.mark.parametrize("family,n,q", [
+        (f, 2, q) for q in (3, 5, 7, 9, 11, 13) for f in ("O+", "O-")]
+        + [("O+", 4, 3), ("O-", 4, 3)])
+    def test_orthogonal_type_follows_discriminant(self, family, n, q):
+        # a form of dimension 2m is of plus type iff (-1)^m det is a square
+        g = build_group(family, n, q)
+        F, m = g.field, n // 2
+        disc = mat_det(F, g.form.gram, n)
+        if m % 2:
+            disc = F.neg(disc)
+        squares = {F.mul(x, x) for x in range(1, F.size)}
+        assert (disc in squares) == (family == "O+")
+        identity_plus = m % 2 == 0 or q % 4 == 1
+        want = ("identity Gram" if identity_plus == (family == "O+")
+                else "diag(%d,1,...,1)" % F.nonsquare())
+        assert g.form.label == want
+
+    @pytest.mark.parametrize("family,n,q", [("O-", 4, 3), ("O+", 2, 3),
+                                            ("O-", 2, 5)])
+    def test_odd_orthogonal_closed_once(self, family, n, q, monkeypatch):
+        # each of these takes the twisted Gram; it is chosen, not found by
+        # closing the identity Gram first
+        calls = []
+        real = groups_mod._greedy_generators
+        monkeypatch.setattr(groups_mod, "_greedy_generators",
+                            lambda *a: calls.append(a) or real(*a))
+        build_group(family, n, q)
+        assert len(calls) == 1
 
     def test_closure_must_contain_every_candidate(self):
         # the first transvection alone closes to the expected order 2, but
@@ -217,11 +255,13 @@ class TestAffineGroup:
 
     @pytest.mark.parametrize("family,n,q", [("GL", 2, 2), ("O", 1, 3)])
     def test_every_index_decodes_to_a_distinct_pair(self, family, n, q):
+        # the pair (A, v) has index index(A) * |V| + index(v)
         ag = build_affine(family, n, q)
-        members = set(ag.base.elements)
-        seen = [ag.element(e) for e in range(ag.order)]
+        pts = points(ag.field, n)
+        assert [vec_index(v, ag.field.size) for v in pts] == list(range(ag.mv))
+        seen = [(ag.base.elements[gi], pts[vi])
+                for gi, vi in (divmod(e, ag.mv) for e in range(ag.order))]
         assert len(set(seen)) == ag.order
-        assert all(mat in members for mat, _ in seen)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +425,63 @@ class TestFormulaCheck:
             formula_check_o(build_group("Sp", 2, 3))
 
 
+def _poly_rem(F, a, b):
+    """Remainder of a modulo the monic polynomial b; coefficient tuples are
+    lowest-degree first."""
+    a = list(a)
+    db = len(b) - 1
+    while len(a) - 1 >= db:
+        lead = a[-1]
+        if lead:
+            shift = len(a) - 1 - db
+            for i in range(db + 1):
+                a[shift + i] = F.sub(a[shift + i], F.mul(lead, b[i]))
+        a.pop()
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return tuple(a)
+
+
+def _irreducible_polys(F, maxdeg):
+    """Monic irreducible polynomials of degree 1..maxdeg over F, excluding
+    z itself, as lowest-first coefficient tuples with leading 1."""
+    irr = []
+    for d in range(1, maxdeg + 1):
+        for tail in product(range(F.size), repeat=d):
+            p = tail + (1,)
+            if any(len(g) - 1 <= d // 2 and _poly_rem(F, p, g) == (0,)
+                   for g in irr):
+                continue
+            irr.append(p)
+    return [p for p in irr if p != (0, 1)]
+
+
+def gl_direct_class_sum(n, q):
+    """Class count of AGL(n, q) summed directly over the polynomial and
+    partition data of GL classes: every class assigns a partition to each
+    monic irreducible (z excluded), total weighted degree n, and contributes
+    d+1 orbits through its z-1 partition, 1 otherwise."""
+    F = field_for_order(q)
+    zm1 = (F.neg(1), 1)
+    degs = [len(p) - 1 for p in _irreducible_polys(F, n) if p != zm1]
+    npart = [len(enum_partitions(j)) for j in range(n + 1)]
+
+    def assignments(i, w):
+        if w == 0:
+            return 1
+        if i == len(degs):
+            return 0
+        return sum(npart[j] * assignments(i + 1, w - j * degs[i])
+                   for j in range(w // degs[i] + 1))
+
+    return sum((d_stat(lam) + 1) * assignments(0, n - m)
+               for m in range(n + 1) for lam in enum_partitions(m))
+
+
 class TestDirectClassSum:
+    """A fourth, test-side route to the AGL series, from the polynomial data
+    of GL classes."""
+
     @pytest.mark.parametrize("n,q", [(n, q) for n in (1, 2, 3, 4)
                                      for q in (2, 3, 4, 5)])
     def test_matches_generating_function(self, n, q):
@@ -396,16 +492,8 @@ class TestDirectClassSum:
         assert gl_direct_class_sum(1, 2) == 2
         assert gl_direct_class_sum(2, 2) == 5
 
-    def test_range_limits(self):
-        with pytest.raises(ValueError):
-            gl_direct_class_sum(5, 2)
-        with pytest.raises(ValueError):
-            gl_direct_class_sum(2, 7)
-        assert gl_direct_class_sum(5, 2, n_limit=5) > 0
-
     def test_irreducible_counts_match_necklaces(self):
         from affineclasses.classcount import necklace
-        from affineclasses.oracle.engine import _irreducible_polys
         for q in (2, 3, 4):
             F = field_for_order(q)
             polys = _irreducible_polys(F, 4)
