@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .classcount import affine_counts, k_ah
+from .primes import divisors
 from .series import (RATIONAL, FactorFamily, TruncatedSeries, apply_product,
                      geometric)
 
@@ -240,10 +241,6 @@ def check_all_bounds(q_set=Q_ALL, n_max=DEFAULT_N_MAX):
 # ---------------------------------------------------------------------------
 # the intermediate-subgroup theorem between ASL and AGL
 
-def _divisors(m: int):
-    return [d for d in range(1, m + 1) if m % d == 0]
-
-
 def check_ah_theorem(q_set=Q_ALL, n_max=DEFAULT_N_MAX):
     """k(AH(n,q)) < q^n for SL <= H <= GL with e = [H:SL] < q-1, except
     k(ASL(1,q)) = q and k(ASL(2,3)) = 10.
@@ -257,7 +254,7 @@ def check_ah_theorem(q_set=Q_ALL, n_max=DEFAULT_N_MAX):
     for q in q_set:
         if q == 2:
             continue  # e < q-1 = 1 is impossible, no group qualifies
-        for e in _divisors(q - 1):
+        for e in divisors(q - 1):
             if e >= q - 1:
                 continue
             index = (q - 1) // e
@@ -405,13 +402,12 @@ def _coefficient_sum(coeff_of_m, q: int, parity_offset: int,
 class ConstantReport:
     """Enclosure of one numeric constant against its claimed value."""
 
-    def __init__(self, const_id, claimed, interval, note=""):
+    def __init__(self, const_id, claimed, interval):
         self.id = const_id
         self.claimed = Fraction(claimed)
         self.interval = interval
         self.ok = interval.hi <= self.claimed
         self.exceeded = interval.lo > self.claimed
-        self.note = note
 
     def __repr__(self):
         return "ConstantReport(%s, claimed=%s, [%s, %s], ok=%s)" % (
@@ -423,12 +419,12 @@ def _reciprocal(q):
     return Fraction(1, q)
 
 
-# Each builder returns (claimed value, enclosure, note); the constant's id
+# Each builder returns (claimed value, enclosure); the constant's id
 # is its key in _CONSTANTS.
 
 def _const_pentagonal():
     iv = geometric_factor_product(_reciprocal(2), 1, 0, +1, False)
-    return Fraction(12, 5), iv, "prod (1+2^-i)"
+    return Fraction(12, 5), iv
 
 
 def _const_agu_master():
@@ -436,7 +432,7 @@ def _const_agu_master():
     iv = geometric_factor_product(_reciprocal(q), 1, 0, +1, False) \
         * geometric_factor_product(_reciprocal(q), 1, 0, -1, True)
     iv = iv * (1 + Fraction(1, 1) / (1 - Fraction(1, q * q)))
-    return 20, iv, "prod (1+q^-i)/(1-q^-i) * (1 + 1/(1-q^-2)) at q=2"
+    return 20, iv
 
 
 def _const_asp_odd_master():
@@ -444,7 +440,7 @@ def _const_asp_odd_master():
     iv = geometric_factor_product(_reciprocal(q), 1, 0, +1, False, power=4) \
         * geometric_factor_product(_reciprocal(q), 1, 0, -1, True)
     iv = iv * (1 + Fraction(1, 1) / (1 - Fraction(1, q)))
-    return 27, iv, "prod (1+q^-i)^4/(1-q^-i) * (1 + 1/(1-q^-1)) at q=3"
+    return 27, iv
 
 
 def _const_asp_even_master():
@@ -456,7 +452,7 @@ def _const_asp_even_master():
     second = geometric_factor_product(t, 2, -1, +1, False, power=2) \
         * (1 - Fraction(1, q))
     iv = Fraction(1, 1) / (1 - t) * (common * (first + second))
-    return 56, iv, "geometric prefactor times the two-term bracket at q=2"
+    return 56, iv
 
 
 def _const_ao_diff(q, claimed):
@@ -464,8 +460,7 @@ def _const_ao_diff(q, claimed):
     iv = geometric_factor_product(t, 2, -1, +1, False) \
         * geometric_factor_product(t, 2, -1, -1, True)
     iv = iv * (Fraction(1, 1) / (1 - t))
-    return claimed, iv, ("(1/(1-1/q)) prod (1+q^-(2i-1))/(1-q^-(2i-1)) at q=%d"
-                         % q)
+    return claimed, iv
 
 
 def _const_ao_odd_sum():
@@ -481,8 +476,7 @@ def _const_ao_odd_sum():
     f_rho = _h_value_interval(rho) * ((1 + (q - 1) * rho) / (1 - rho * rho))
     iv = _coefficient_sum(lambda j: Fraction(f.coeff(j)), q, 0,
                           f_rho, rho, T)
-    return 53, iv, ("even-index coefficient sum of the symmetrized "
-                    "orthogonal series at q=3")
+    return 53, iv
 
 
 def _const_o_classical(parity, claimed):
@@ -496,8 +490,7 @@ def _const_o_classical(parity, claimed):
                           _h_value_interval(rho), rho, T)
     if parity:
         iv = iv * Fraction(1, 2)
-    return claimed, iv, ("%s coefficient sum of prod (1+u^(2i-1))^4/(1-u^(2i)) "
-                         "at q=3" % ("half the odd-index" if parity else "even-index"))
+    return claimed, iv
 
 
 def _const_ao_even_sum():
@@ -510,22 +503,19 @@ def _const_ao_even_sum():
         * geometric_factor_product(t, 4, -2, -1, True) \
         * geometric_factor_product(t, 1, 0, -1, True, power=2)
     iv = Fraction(1, 1) / (1 - t) * (p1 + Fraction(4 * (q - 1), q) * p2)
-    return Fraction(558, 5), iv, (
-        "the even-characteristic orthogonal master value at q=2; the "
-        "rigorous lower end already exceeds the claimed constant, so the "
-        "claim fails as stated (the final 60 q^n bound is still confirmed "
-        "on the grid by the direct cell checks)")
+    # the lower end of the enclosure already exceeds the claimed 111.6, so
+    # the claim fails as stated; the grid cells still confirm 60 q^n
+    return Fraction(558, 5), iv
 
 
 def _const_ao_odd_combine():
     val = Fraction(53 + Fraction(33, 10), 2)
-    return 29, Interval(val, val), "(53 + 3.3)/2 = 28.15, exact arithmetic"
+    return 29, Interval(val, val)
 
 
 def _const_ao_even_combine():
     val = Fraction(Fraction(558, 5) + Fraction(42, 5), 2)
-    return 60, Interval(val, val), ("(111.6 + 8.4)/2 = 60, exact arithmetic on "
-                                    "the claimed ingredients")
+    return 60, Interval(val, val)  # on the claimed ingredients
 
 
 _CONSTANTS = {

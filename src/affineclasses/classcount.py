@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .primes import prime_power
+from .primes import divisors, moebius, prime_power
 from .series import (
     DEFAULT_ORDER,
     FactorFamily,
@@ -62,36 +62,6 @@ class OrbitPieces:
 # ---------------------------------------------------------------------------
 # arithmetic helpers
 
-def moebius(e: int) -> int:
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    out = 1
-    n = e
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out = -out
-    return out
-
-
-def _divisors(d):
-    out = []
-    i = 1
-    while i * i <= d:
-        if d % i == 0:
-            out.append(i)
-            if i != d // i:
-                out.append(d // i)
-        i += 1
-    return sorted(out)
-
-
 def necklace(q, d: int):
     """Number of monic irreducible polynomials of degree d with nonzero
     constant term: q-1 in degree 1, the usual Moebius sum above that."""
@@ -101,10 +71,10 @@ def necklace(q, d: int):
         return q - 1
     if isinstance(q, QPoly):
         total = QPoly(0)
-        for e in _divisors(d):
+        for e in divisors(d):
             total = total + moebius(e) * q ** (d // e)
         return total / d
-    total = sum(moebius(e) * q ** (d // e) for e in _divisors(d))
+    total = sum(moebius(e) * q ** (d // e) for e in divisors(d))
     if total % d:
         raise ArithmeticError("necklace sum not divisible by d")
     return total // d

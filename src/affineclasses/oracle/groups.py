@@ -11,17 +11,20 @@ bytes.translate.
 Every group is built one way: the closure of a generator recipe, accepted
 only when it reaches the standard order formula (see build_group).
 
-Forms are fixed once:
+Forms are fixed once, in one model: B(x, y) = sum sigma(x_i) g_ij y_j with
+sigma the identity, or x -> x^p for a hermitian form, and for an
+orthogonal form also Q, an upper-triangular matrix with Gram Q + Q^T:
   * symplectic: block-antidiagonal Gram [[0, I], [-I, 0]];
-  * hermitian: identity Gram with conjugation x -> x^p;
-  * orthogonal, odd characteristic: identity Gram, or the same with a single
-    non-square in the corner.  A form of dimension 2m is of plus type iff
-    (-1)^m det is a square (Kleidman-Liebeck, The Subgroup Structure of the
-    Finite Classical Groups, 1990, 2.5), so the identity Gram is of plus
-    type iff m is even or q = 1 mod 4, and the twisted one of the other;
-  * orthogonal, characteristic 2: quadratic forms x1 x2 + x3 x4 + ... for
-    plus type, with the last hyperbolic pair replaced by an anisotropic
-    binary form for minus type.
+  * hermitian: identity Gram with sigma x -> x^p;
+  * orthogonal, odd characteristic: Q with diagonal g_ii / 2 for the
+    identity Gram, or the same with a single non-square in the corner.  A
+    form of dimension 2m is of plus type iff (-1)^m det is a square
+    (Kleidman-Liebeck, The Subgroup Structure of the Finite Classical
+    Groups, 1990, 2.5), so the identity Gram is of plus type iff m is even
+    or q = 1 mod 4, and the twisted one of the other;
+  * orthogonal, characteristic 2: Q = x1 x2 + x3 x4 + ... for plus type,
+    with the last hyperbolic pair replaced by an anisotropic binary form
+    for minus type.
 """
 
 from __future__ import annotations
@@ -80,51 +83,35 @@ def mat_sub(F: FiniteField, a: tuple, b: tuple) -> tuple:
     return tuple(F.sub(x, y) for x, y in zip(a, b))
 
 
-def mat_rank(F: FiniteField, a: tuple, n: int) -> int:
+def _eliminate(F: FiniteField, a: tuple, n: int):
+    """Forward elimination of the n x n matrix a: (rank, determinant)."""
     rows = [list(a[i * n:(i + 1) * n]) for i in range(n)]
-    rank = 0
+    rank, det = 0, 1
     for col in range(n):
-        pivot = None
-        for r in range(rank, n):
-            if rows[r][col]:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, n) if rows[r][col]), None)
         if pivot is None:
+            det = 0
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = F.inv(rows[rank][col])
-        rows[rank] = [F.mul(inv, x) for x in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(rows[r], rows[rank])]
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = F.neg(det)
+        top = rows[rank]
+        det = F.mul(det, top[col])
+        inv = F.inv(top[col])
+        for r in range(rank + 1, n):
+            if rows[r][col]:
+                c = F.mul(inv, rows[r][col])
+                rows[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(rows[r], top)]
         rank += 1
-        if rank == n:
-            break
-    return rank
+    return rank, det
+
+
+def mat_rank(F: FiniteField, a: tuple, n: int) -> int:
+    return _eliminate(F, a, n)[0]
 
 
 def mat_det(F: FiniteField, a: tuple, n: int) -> int:
-    rows = [list(a[i * n:(i + 1) * n]) for i in range(n)]
-    det = 1
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = F.neg(det)
-        det = F.mul(det, rows[col][col])
-        inv = F.inv(rows[col][col])
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                c = F.mul(inv, rows[r][col])
-                rows[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(rows[r], rows[col])]
-    return det
+    return _eliminate(F, a, n)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -189,20 +176,22 @@ def p_invert(a):
 # forms
 
 class FormData:
-    """Invariant form of a group: kind is 'none', 'bilinear', 'hermitian', or
-    'quadratic'.  gram holds the Gram matrix (for quadratic forms, of the
-    polarization); quadratic holds the upper-triangular coefficient matrix."""
+    """Invariant form of a group: B(x, y) = sum sigma(x_i) g_ij y_j, where
+    sigma is x -> x^p when conj is set and the identity otherwise.  An
+    orthogonal form also holds Q as the upper-triangular matrix quadratic,
+    Q(x) = sum_{i<=j} quadratic_ij x_i x_j, and gram = quadratic +
+    quadratic^T.  GL and SL have no Gram."""
 
-    __slots__ = ("kind", "gram", "quadratic", "label")
+    __slots__ = ("gram", "conj", "quadratic", "label")
 
-    def __init__(self, kind, gram=None, quadratic=None, label=""):
-        self.kind = kind
+    def __init__(self, gram=None, conj=False, quadratic=None, label=""):
         self.gram = gram
+        self.conj = conj
         self.quadratic = quadratic
         self.label = label
 
     def __repr__(self):
-        return "FormData(%s, %s)" % (self.kind, self.label)
+        return "FormData(%s)" % (self.label,)
 
 
 def symplectic_form(F: FiniteField, n: int) -> FormData:
@@ -211,46 +200,52 @@ def symplectic_form(F: FiniteField, n: int) -> FormData:
     for i in range(m):
         g[i * n + m + i] = 1
         g[(m + i) * n + i] = F.neg(1)
-    return FormData("bilinear", tuple(g), label="[[0,I],[-I,0]]")
+    return FormData(tuple(g), label="[[0,I],[-I,0]]")
 
 
-def hermitian_form(F: FiniteField, n: int) -> FormData:
-    return FormData("hermitian", mat_identity(n), label="identity Gram")
-
-
-def orthogonal_form_odd(F: FiniteField, n: int, twist: bool) -> FormData:
-    g = list(mat_identity(n))
-    label = "identity Gram"
-    if twist:
-        g[0] = F.nonsquare()
-        label = "diag(%d,1,...,1)" % g[0]
-    return FormData("bilinear", tuple(g), label=label)
-
-
-def orthogonal_form_char2(F: FiniteField, n: int, plus: bool) -> FormData:
+def orthogonal_form(F: FiniteField, n: int, family: str) -> FormData:
+    """Q for O(n, q), q odd, and O+/O-(n, q): for odd q, Q has diagonal
+    g_ii / 2 for the identity Gram or the one with a non-square in the
+    corner, chosen by the discriminant; for even q, Q is x1x2 + x3x4 + ...,
+    its last pair made anisotropic for minus type."""
     quad = [0] * (n * n)
-    m = n // 2
-    for i in range(m):
-        quad[2 * i * n + 2 * i + 1] = 1
-    label = "x1x2+..."
-    if not plus:
-        a = None
-        for cand in range(F.size):
-            if all(F.add(F.add(F.mul(x, x), x), cand) for x in range(F.size)):
-                a = cand
-                break
-        i, j = n - 2, n - 1
-        quad[i * n + i] = 1
-        quad[j * n + j] = a
-        label = "x1x2+...+x%d^2+x%dx%d+%d*x%d^2" % (n - 1, n - 1, n, a, n)
-    gram = [0] * (n * n)
+    if F.p % 2:
+        half = F.inv(F.embed(2))
+        for i in range(n):
+            quad[i * n + i] = half
+        label = "identity Gram"
+        identity_plus = (n // 2) % 2 == 0 or F.size % 4 == 1
+        if family != "O" and identity_plus != (family == "O+"):
+            a = F.nonsquare()
+            quad[0] = F.mul(a, half)
+            label = "diag(%d,1,...,1)" % a
+    else:
+        for i in range(n // 2):
+            quad[2 * i * n + 2 * i + 1] = 1
+        label = "x1x2+..."
+        if family == "O-":
+            a = next(c for c in range(F.size)
+                     if all(F.add(F.add(F.mul(x, x), x), c) for x in range(F.size)))
+            quad[(n - 2) * n + n - 2] = 1
+            quad[n * n - 1] = a
+            label = "x1x2+...+x%d^2+x%dx%d+%d*x%d^2" % (n - 1, n - 1, n, a, n)
+    gram = tuple(F.add(quad[i * n + j], quad[j * n + i])
+                 for i in range(n) for j in range(n))
+    return FormData(gram, quadratic=tuple(quad), label=label)
+
+
+def form_value(F: FiniteField, form: FormData, x: tuple, y: tuple) -> int:
+    """B(x, y) = sum sigma(x_i) g_ij y_j."""
+    n = len(x)
+    g = form.gram
+    out = 0
     for i in range(n):
-        for j in range(n):
-            if i < j:
-                gram[i * n + j] = quad[i * n + j]
-            elif i > j:
-                gram[i * n + j] = quad[j * n + i]
-    return FormData("quadratic", tuple(gram), tuple(quad), label=label)
+        xi = F.conj(x[i]) if form.conj else x[i]
+        if xi:
+            for j in range(n):
+                if y[j] and g[i * n + j]:
+                    out = F.add(out, F.mul(xi, F.mul(g[i * n + j], y[j])))
+    return out
 
 
 def eval_quadratic(F: FiniteField, form: FormData, v: tuple) -> int:
@@ -265,51 +260,19 @@ def eval_quadratic(F: FiniteField, form: FormData, v: tuple) -> int:
     return out
 
 
-def bilinear(F: FiniteField, gram: tuple, x: tuple, y: tuple) -> int:
-    n = len(x)
-    out = 0
-    for i in range(n):
-        if x[i]:
-            for j in range(n):
-                if y[j] and gram[i * n + j]:
-                    out = F.add(out, F.mul(x[i], F.mul(gram[i * n + j], y[j])))
-    return out
-
-
-def hermitian(F: FiniteField, x: tuple, y: tuple) -> int:
-    out = 0
-    for a, b in zip(x, y):
-        if a and b:
-            out = F.add(out, F.mul(F.conj(a), b))
-    return out
-
-
 def preserves_form(F: FiniteField, form: FormData, mat: tuple, n: int) -> bool:
-    cols = [tuple(mat[i * n + j] for i in range(n)) for j in range(n)]
-    if form.kind == "none":
+    """B on every pair of columns and, for an orthogonal form, Q on every
+    column; with no form, invertibility."""
+    g = form.gram
+    if g is None:
         return mat_det(F, mat, n) != 0
-    if form.kind == "bilinear":
-        g = form.gram
-        for i in range(n):
-            for j in range(n):
-                if bilinear(F, g, cols[i], cols[j]) != g[i * n + j]:
-                    return False
-        return True
-    if form.kind == "hermitian":
-        for i in range(n):
-            for j in range(i, n):
-                want = 1 if i == j else 0
-                if hermitian(F, cols[i], cols[j]) != want:
-                    return False
-        return True
-    # quadratic: preserve Q on a basis and the polarization on pairs
-    q, g = form.quadratic, form.gram
-    for j in range(n):
-        if eval_quadratic(F, form, cols[j]) != q[j * n + j]:
-            return False
+    cols = [tuple(mat[i * n + j] for i in range(n)) for j in range(n)]
+    q = form.quadratic
     for i in range(n):
-        for j in range(i + 1, n):
-            if bilinear(F, g, cols[i], cols[j]) != g[i * n + j]:
+        if q is not None and eval_quadratic(F, form, cols[i]) != q[i * n + i]:
+            return False
+        for j in range(i, n):
+            if form_value(F, form, cols[i], cols[j]) != g[i * n + j]:
                 return False
     return True
 
@@ -373,23 +336,13 @@ def _proj_vectors(F: FiniteField, n: int):
             yield v
 
 
-def _transvection(F: FiniteField, n: int, v: tuple, cvec: tuple) -> tuple:
-    """x -> x + <x,cvec-functional> v realized as I + v * cvec^T."""
-    out = list(mat_identity(n))
-    for i in range(n):
-        if v[i]:
-            for j in range(n):
-                if cvec[j]:
-                    out[i * n + j] = F.add(out[i * n + j], F.mul(v[i], cvec[j]))
-    return tuple(out)
-
-
-def _quasi_reflection(F: FiniteField, n: int, v: tuple, lam: int) -> tuple:
-    """x -> x + ((lam-1)/h(v,v)) h(v,x) v for non-isotropic v: a unitary
-    map of determinant lam when lam has norm 1."""
-    coef = F.div(F.sub(lam, 1), hermitian(F, v, v))
-    return _transvection(F, n, tuple(F.mul(coef, x) for x in v),
-                         tuple(F.conj(x) for x in v))
+def _form_transvection(F: FiniteField, form: FormData, v: tuple, c: int) -> tuple:
+    """x -> x + c B(v, x) v, the matrix I + c v B(v, e_j)."""
+    n = len(v)
+    pts = points(F, n)
+    row = [F.mul(c, form_value(F, form, v, pts[F.size ** j])) for j in range(n)]
+    return tuple(F.add(int(i == j), F.mul(v[i], row[j]))
+                 for i in range(n) for j in range(n))
 
 
 def _recipe_candidates(family: str, F: FiniteField, n: int, form: FormData):
@@ -409,72 +362,49 @@ def _recipe_candidates(family: str, F: FiniteField, n: int, form: FormData):
             cands.insert(0, tuple(m))
         return cands
     if family == "Sp":
-        g = form.gram
-        for v in _proj_vectors(F, n):
-            # row functional x -> B(x, v)
-            cvec = tuple(bilinear(F, g, tuple(1 if k == i else 0 for k in range(n)), v)
-                         for i in range(n))
-            for lam in range(1, F.size):
-                lv = tuple(F.mul(lam, x) for x in v)
-                cands.append(_transvection(F, n, lv, cvec))
-        return cands
-    if family in ("O", "O+", "O-") and F.p % 2 == 1:
-        g = form.gram
-        for v in _proj_vectors(F, n):
-            qv = bilinear(F, g, v, v)
-            if qv == 0:
-                continue
-            # reflection x -> x - (2 B(x,v) / B(v,v)) v
-            coef = F.neg(F.mul(F.embed(2), F.inv(qv)))
-            cvec = tuple(F.mul(coef, bilinear(
-                F, g, tuple(1 if k == i else 0 for k in range(n)), v))
-                for i in range(n))
-            cands.append(_transvection(F, n, v, cvec))
-        return cands
-    if family in ("O+", "O-"):
-        # characteristic 2: x -> x + (B(x,v)/Q(v)) v for Q(v) != 0
+        # symplectic transvections x -> x + lam B(x, v) v
+        return [_form_transvection(F, form, v, F.neg(lam))
+                for v in _proj_vectors(F, n) for lam in range(1, F.size)]
+    if family in ("O", "O+", "O-"):
+        # reflections x -> x - (B(v, x) / Q(v)) v for Q(v) != 0
         for v in _proj_vectors(F, n):
             qv = eval_quadratic(F, form, v)
-            if qv == 0:
-                continue
-            inv = F.inv(qv)
-            cvec = tuple(F.mul(inv, bilinear(
-                F, form.gram, tuple(1 if k == i else 0 for k in range(n)), v))
-                for i in range(n))
-            cands.append(_transvection(F, n, v, cvec))
-        if n == 4:
+            if qv:
+                cands.append(_form_transvection(F, form, v, F.neg(F.inv(qv))))
+        if n == 4 and F.p == 2:
             # O+(4,2) is not generated by its transvections (they give
             # order 36 of 72); the swap of the two hyperbolic pairs
             # completes it.  It does not preserve the minus-type form.
             cands.append((0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0))
         return cands
-    if family in ("GU", "SU"):
-        # unitary transvections x -> x + lam h(v,x) v with h(v,v)=0 and
-        # lam of trace zero
-        lams = [x for x in range(1, F.size) if F.add(x, F.conj(x)) == 0]
-        nonisotropic = []
-        for v in _proj_vectors(F, n):
-            if hermitian(F, v, v):
-                nonisotropic.append(v)
-                continue
-            cvec = tuple(F.conj(x) for x in v)  # functional x -> h(v, x)
-            for lam in lams:
-                lv = tuple(F.mul(lam, x) for x in v)
-                cands.append(_transvection(F, n, lv, cvec))
-        # quasi-reflections, lam != 1 of norm 1, extend SU to GU; their
-        # det-1 products R(v0, lam^-1) R(v, lam) complete SU(3,2), which the
-        # transvections alone do not generate (order 54 of 216)
-        norm1 = [x for x in range(2, F.size) if F.mul(x, F.conj(x)) == 1]
-        if family == "GU":
-            cands.extend(_quasi_reflection(F, n, v, lam)
-                         for v in nonisotropic for lam in norm1)
-        else:
-            v0 = nonisotropic[0]
-            cands.extend(mat_mul(F, _quasi_reflection(F, n, v0, F.inv(lam)),
-                                 _quasi_reflection(F, n, v, lam), n)
-                         for v in nonisotropic[1:] for lam in norm1)
-        return cands
-    raise ValueError("no generator recipe for %s over this field" % (family,))
+    # GU, SU: unitary transvections x -> x + lam B(v, x) v with B(v, v) = 0
+    # and lam of trace zero
+    lams = [x for x in range(1, F.size) if F.add(x, F.conj(x)) == 0]
+    nonisotropic = []
+    for v in _proj_vectors(F, n):
+        if form_value(F, form, v, v):
+            nonisotropic.append(v)
+            continue
+        cands.extend(_form_transvection(F, form, v, lam) for lam in lams)
+
+    def quasi_reflection(v, lam):
+        return _form_transvection(
+            F, form, v, F.div(F.sub(lam, 1), form_value(F, form, v, v)))
+
+    # quasi-reflections R(v, lam), of determinant lam for lam != 1 of norm
+    # 1, extend SU to GU; their det-1 products R(v0, lam^-1) R(v, lam)
+    # complete SU(3,2), which the transvections alone do not generate
+    # (order 54 of 216)
+    norm1 = [x for x in range(2, F.size) if F.mul(x, F.conj(x)) == 1]
+    if family == "GU":
+        cands.extend(quasi_reflection(v, lam)
+                     for v in nonisotropic for lam in norm1)
+    else:
+        v0 = nonisotropic[0]
+        cands.extend(mat_mul(F, quasi_reflection(v0, F.inv(lam)),
+                             quasi_reflection(v, lam), n)
+                     for v in nonisotropic[1:] for lam in norm1)
+    return cands
 
 
 def _perm_closure(gen_perms, mv: int, limit: int):
@@ -572,42 +502,33 @@ def _field_for(family: str, q: int) -> FiniteField:
     return field_for_order(q)
 
 
-def _resolve_form(family: str, F: FiniteField, n: int, q: int) -> FormData:
+def _resolve_form(family: str, F: FiniteField, n: int) -> FormData:
+    """The form of a family whose dimension expected_order has accepted."""
     if family in ("GL", "SL"):
-        return FormData("none", label="no form")
+        return FormData(label="no form")
     if family in ("GU", "SU"):
-        return hermitian_form(F, n)
+        return FormData(mat_identity(n), conj=True, label="identity Gram")
     if family == "Sp":
-        if n < 2 or n % 2:
-            raise ValueError("symplectic dimension must be even and positive")
         return symplectic_form(F, n)
-    if family == "O":
-        expected_order("O", n, q)  # validates n, q parity
-        return orthogonal_form_odd(F, n, twist=False)
-    if family in ("O+", "O-"):
-        if n < 2 or n % 2:
-            raise ValueError("no form of type %s in dimension %d" % (family, n))
-        if q % 2 == 0:
-            return orthogonal_form_char2(F, n, plus=family == "O+")
-        identity_plus = (n // 2) % 2 == 0 or q % 4 == 1
-        return orthogonal_form_odd(F, n, twist=identity_plus != (family == "O+"))
-    raise ValueError("unknown family %r" % (family,))
+    return orthogonal_form(F, n, family)
 
 
 def build_group(family: str, n: int, q: int, cap: int = DEFAULT_CAP) -> MatrixGroup:
     """Enumerate a classical group by closing its generator recipe.
 
     The recipe lists elementary transvections (plus a primitive diagonal
-    for GL), symplectic transvections, orthogonal reflections or
-    transvections, and unitary transvections with quasi-reflections.  Two
-    groups are the classical exceptions to generation by transvections
-    and get extra candidates: SU(3,2), det-1 products of unitary
-    quasi-reflections, and O+(4,2), the swap of its two hyperbolic pairs.
-    Candidates outside the group are dropped before the closure, so the
-    closure is a subgroup and reaching the order formula proves it is the
-    whole group.  The form, and with it the type of an orthogonal group, is
-    fixed before the closure (see the module docstring); the closure is
-    taken once, and a recipe or form that misses the order raises.
+    for GL) and, for the groups of a form B, maps x -> x + c B(v, x) v:
+    symplectic transvections (c = -lam), orthogonal reflections in either
+    characteristic (c = -1/Q(v)), unitary transvections (c = lam of trace
+    0) and unitary quasi-reflections (c = (lam - 1)/B(v, v)).  Two groups
+    are the classical exceptions to generation by these and get extra
+    candidates: SU(3,2), det-1 products of unitary quasi-reflections, and
+    O+(4,2), the swap of its two hyperbolic pairs.  Candidates outside the
+    group are dropped before the closure, so the closure is a subgroup and
+    reaching the order formula proves it is the whole group.  The form, and
+    with it the type of an orthogonal group, is fixed before the closure
+    (see the module docstring); the closure is taken once, and a recipe or
+    form that misses the order raises.
     """
     if family not in GROUP_FAMILIES:
         raise ValueError("unknown family %r (choose from %s)"
@@ -623,7 +544,7 @@ def build_group(family: str, n: int, q: int, cap: int = DEFAULT_CAP) -> MatrixGr
         raise CapExceeded("group order %d on %d points stores %d point images, "
                           "over 32 * cap %d" % (expected, mv, expected * mv, cap))
 
-    form = _resolve_form(family, F, n, q)
+    form = _resolve_form(family, F, n)
     return _assemble(family, n, q, F, form, expected)
 
 

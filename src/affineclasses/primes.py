@@ -1,5 +1,6 @@
-"""Prime powers: the one check of a field size, shared by the closed-form
-routes and the brute-force oracle's choice of field."""
+"""Integer arithmetic: the one check of a field size (prime powers), shared
+by the closed-form routes and the brute-force oracle's choice of field, and
+the divisors and Moebius function the counting formulas sum over."""
 
 from __future__ import annotations
 
@@ -26,3 +27,23 @@ def prime_power(q: int) -> tuple[int, int]:
     if r != 1:
         raise ValueError("q must be a prime power, got %d" % q)
     return p, k
+
+
+def divisors(m: int) -> list:
+    """The positive divisors of m >= 1, ascending."""
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def moebius(e: int) -> int:
+    """The Moebius function: 0 unless e is squarefree, else (-1)^(number of
+    prime factors)."""
+    if e < 1:
+        raise ValueError("e must be >= 1")
+    out = 1
+    while e > 1:
+        p = _least_factor(e)
+        e //= p
+        if e % p == 0:
+            return 0
+        out = -out
+    return out

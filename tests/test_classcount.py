@@ -14,7 +14,6 @@ from affineclasses.classcount import (
     characteristic,
     classical_series,
     k_ah,
-    moebius,
     necklace,
     necklace_product,
     orbit_built_series,
@@ -23,6 +22,7 @@ from affineclasses.classcount import (
     sp_even_proof_form,
 )
 from affineclasses.partitions import lemma_rhs
+from affineclasses.primes import moebius
 from affineclasses.series import (
     Q,
     QPOLY,

@@ -5,6 +5,7 @@ Grid sizes follow the element cap; the one deliberately larger cell
 AFFINECLASSES_BIG=1 to also run the 6.6-million-element ASU(4,2) cell.
 """
 
+import hashlib
 import os
 import random
 from itertools import product
@@ -23,8 +24,8 @@ from affineclasses.oracle.engine import unipotent_partition
 from affineclasses.oracle.field import field_for_order, finite_field
 from affineclasses.oracle.groups import (_greedy_generators, expected_order,
                                         index_vec, mat_det, mat_identity,
-                                        mat_mul, mat_vec, p_compose, p_invert,
-                                        perm_from_matrix, points,
+                                        mat_mul, mat_rank, mat_vec, p_compose,
+                                        p_invert, perm_from_matrix, points,
                                         preserves_form, vec_index)
 from affineclasses.partitions import d_stat, enum_partitions
 
@@ -122,6 +123,35 @@ ORDER_CELLS = [
     ("O+", 2, 2, 2), ("O-", 2, 2, 6), ("O+", 4, 2, 72), ("O-", 4, 2, 120),
     ("O+", 2, 3, 4), ("O-", 2, 3, 8), ("O+", 4, 3, 1152), ("O-", 4, 3, 1440),
 ]
+
+
+class TestElimination:
+    """mat_rank and mat_det come from one forward elimination."""
+
+    @pytest.mark.parametrize("q", [4, 9])
+    def test_every_2x2_matrix(self, q):
+        F = field_for_order(q)
+        mats = list(product(range(q), repeat=4))
+        rng = random.Random(q)
+        for a in mats:
+            det = mat_det(F, a, 2)
+            assert det == F.sub(F.mul(a[0], a[3]), F.mul(a[1], a[2]))
+            assert (det != 0) == (mat_rank(F, a, 2) == 2)
+            assert (mat_rank(F, a, 2) == 0) == (a == (0, 0, 0, 0))
+            b = rng.choice(mats)
+            assert mat_det(F, mat_mul(F, a, b, 2), 2) == F.mul(det, mat_det(F, b, 2))
+
+    @pytest.mark.parametrize("q", [4, 9])
+    def test_random_3x3_matrices(self, q):
+        F = field_for_order(q)
+        rng = random.Random(q)
+        for _ in range(500):
+            # sparse entries reach the singular matrices too
+            a, b = (tuple(rng.choice((0, 0, rng.randrange(q))) for _ in range(9))
+                    for _ in range(2))
+            det = mat_det(F, a, 3)
+            assert (det != 0) == (mat_rank(F, a, 3) == 3)
+            assert mat_det(F, mat_mul(F, a, b, 3), 3) == F.mul(det, mat_det(F, b, 3))
 
 
 class TestBuildGroup:
@@ -340,6 +370,61 @@ class TestOracleGrid:
         assert count_classes(ag).k == 49
 
 
+#: sha256 of each grid cell's class data (see class_data_digest); a change
+#: to how groups are built must leave every one unchanged.  Generators are
+#: left out, as they are not canonical.
+CLASS_DATA_DIGESTS = {
+    ("GL", 1, 2): "7e12410b836e7f3b31876acc0d4614226967ab896a79aeae498cb579d8bd8632",
+    ("GL", 1, 3): "e0ca0200b9a6131de01c0abd389db090423fbd0c5ab3373b86c1d85244a06609",
+    ("GL", 2, 2): "e73b36418816c0836c0404285b0bed65177103a4ded55c8d5cfccab809512877",
+    ("GL", 2, 3): "c2ba009a716c1ec0c3522275f178a231be1cf90a280462e152424cb258ede613",
+    ("GL", 3, 2): "9e42a8d00c98f5303ccd97f25301f1f12d4b390cce5253dae2347d02ccce5c38",
+    ("GL", 3, 3): "1fbe26ffb5e7fc6c420a34ee31bad93470cbfa1fa401f1e9ae6159b518342905",
+    ("GU", 1, 2): "00d50fdf4a849253f5461bd8cc3ee43a9f8a4e0168e684dd315a7d320e347e14",
+    ("GU", 1, 3): "5e38bc01c9c1319c596377d2fe241a66e827042c7ebe45f356ae12d6935d152c",
+    ("GU", 2, 2): "e767395b816a7edb7152f73a48ddcc2ffd6086c1fc650dc46d88bd6aef89dea1",
+    ("GU", 2, 3): "ea10ca4b12a58bd2aa057b34b85ac4065bda7f7b57a98f088471981557277588",
+    ("Sp", 2, 2): "4ed343d7aa9c474d6bd90b63315ff2b3d3b44e984f984217bc84a9881b96e3c6",
+    ("Sp", 2, 3): "b76123dcf8e054e14c4a33552270b6e8061e36b4806daebce5fc90de66832d00",
+    ("Sp", 2, 5): "80b7b86340bf712d163b6eb649e11abe6aa84f2eb6e3bab82cf4b982d85ab6af",
+    ("Sp", 4, 2): "be0286003eec68da31d3dd8b9a83e7f3dd9a782199fd1e8ee625372cf4791062",
+    ("O", 1, 3): "0fc96d5b74833af8d87f6200799f7db6b5fa40b72f8634b98e18a40c847270af",
+    ("O", 3, 3): "0819cd7c124eecf47c1c0e9dcb6c3b749c7edc84ca3cb1ad0d079c247e071355",
+    ("O+", 2, 3): "731236a2065ed0518e380fac2324d26ce49ec13ada9fd9569bb19840cd36a7b0",
+    ("O-", 2, 3): "e00da20181078d68f2f31a2899d99ac1a259b8da20e7544bf26c8ec30e4d0636",
+    ("O+", 4, 3): "4a9ef5184648a123644645dc867658f4b3388794b9ccb42c8289fad1f8b6d4a5",
+    ("O-", 4, 3): "d72f35d0059378f6dddb5862a96c66b0bf0aff82f5ed5a2ecc568fa3bf21ac0e",
+    ("O+", 2, 2): "e2bf561cd92a2facd3d8ed7f201b7e35960e58e00f46d7ccdbd0434ff90be451",
+    # O-(2,2) = Sp(2,2) = GL(2,2), with the same Gram in characteristic 2
+    ("O-", 2, 2): "4ed343d7aa9c474d6bd90b63315ff2b3d3b44e984f984217bc84a9881b96e3c6",
+    ("O+", 4, 2): "3da9ca82b49a9c568172eda2c23d5436a538c2ad30c0eeef8b0a1bbf712cd654",
+    ("O-", 4, 2): "355fba8d1d7c19a55ec9c4c06f969def23c1d6d2ba59410a2d18174a79ae1bf7",
+}
+
+
+def class_data_digest(family, dim, q):
+    """sha256 over the sorted elements, the Gram, the matrix and affine
+    class representatives and sizes, and the per-class orbit counts."""
+    ag = build_affine(family, dim, q)
+    g = ag.base
+    mdec, adec = count_classes(g), count_classes(ag)
+    orbits, _ = orbit_sum_check(g)
+    data = (tuple(g.elements), g.form.gram,
+            list(mdec.rep_indices), list(mdec.sizes),
+            list(adec.rep_indices), list(adec.sizes), list(orbits))
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+class TestClassDataDigests:
+    def test_digests_cover_the_grid(self):
+        assert tuple(CLASS_DATA_DIGESTS) == VERIFICATION_GRID
+
+    @pytest.mark.parametrize("family,dim,q", VERIFICATION_GRID)
+    def test_class_data_unchanged(self, family, dim, q):
+        assert class_data_digest(family, dim, q) == \
+            CLASS_DATA_DIGESTS[(family, dim, q)]
+
+
 # ---------------------------------------------------------------------------
 # orbit sums (the exact lemma, group by group)
 
@@ -411,18 +496,26 @@ class TestFormulaCheck:
                                             ("GU", 1, 2), ("GU", 1, 3),
                                             ("GU", 2, 2), ("GU", 2, 3)])
     def test_closed_formulas_match_measured_orbits(self, family, n, q):
-        report = formula_check_o(build_group(family, n, q))
+        g = build_group(family, n, q)
+        o_vals, _ = orbit_sum_check(g)
+        report = formula_check_o(g, o_vals)
         assert report.ok
-        assert report.total == sum(e["measured"] for e in report.entries)
+        assert [e["measured"] for e in report.entries] == o_vals
 
     def test_gl22_report_values(self):
-        report = formula_check_o(build_group("GL", 2, 2))
+        g = build_group("GL", 2, 2)
+        report = formula_check_o(g, orbit_sum_check(g)[0])
         assert [e["measured"] for e in report.entries] == [2, 1, 2]
-        assert report.total == 5
+        assert [e["expected"] for e in report.entries] == [2, 1, 2]
+
+    def test_a_wrong_count_fails_its_class(self):
+        report = formula_check_o(build_group("GL", 2, 2), [2, 1, 3])
+        assert not report.ok
+        assert [e["ok"] for e in report.entries] == [True, True, False]
 
     def test_rejects_other_families(self):
         with pytest.raises(ValueError):
-            formula_check_o(build_group("Sp", 2, 3))
+            formula_check_o(build_group("Sp", 2, 3), [])
 
 
 def _poly_rem(F, a, b):
