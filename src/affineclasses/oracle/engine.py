@@ -9,6 +9,15 @@ member of such a coset; conjugation by h in G sends it to
 (h g h^-1, least member of h c + [h g h^-1, V]).  The G-orbits of states
 are the affine classes, each state standing for |[g,V]| elements, and there
 are |G| times (number of G-orbits on V) states rather than |G|*|V| pairs.
+
+The orbit sums count, class by class, the orbits of the centralizer C(g) on
+V/[g,V].  C(g) is never listed: a breadth-first walk over the class of g
+through the conjugation tables carries transversal elements t_x with
+t_x g t_x^-1 = x, and by Schreier's lemma the elements t_y^-1 h t_x along
+its edges x -> y = h x h^-1 generate C(g).  The walk keeps those outside
+the subgroup generated so far and stops collecting at |G| / |class|, the
+order the class scan fixes, so the coset orbits close under a few
+generators rather than all of C(g).
 """
 
 from __future__ import annotations
@@ -20,8 +29,9 @@ from ..partitions import Partition, o_gl, o_gu
 from . import kernels
 from .field import FiniteField
 from .groups import (CapExceeded, DEFAULT_CAP, MatrixGroup, _field_for,
-                     build_group, expected_order, mat_identity, mat_mul,
-                     mat_rank, mat_sub, p_compose, points, vec_index)
+                     _perm_closure, build_group, expected_order,
+                     identity_perm, mat_identity, mat_mul, mat_rank, mat_sub,
+                     p_compose, points, vec_index)
 
 
 def _vector_tables(F: FiniteField, n: int, cap: int):
@@ -220,17 +230,79 @@ def count_classes(group) -> ClassDecomposition:
 # ---------------------------------------------------------------------------
 # orbit sums: the class count of V x| G, one class of G at a time
 
+def centralizer_generators(group: MatrixGroup, gi: int, size: int):
+    """Generators of the centralizer C(g) of g = group.perms[gi], whose
+    class has size elements, by Schreier's lemma (Seress, Permutation Group
+    Algorithms, CUP 2003, ch. 4).
+
+    A central class (size 1) takes the generators of G.  Otherwise the class
+    is walked breadth-first through group.conj_table(), keeping for each
+    reached x a pair (t_x, t_x^-1) with t_x g t_x^-1 = x: the edge from x
+    to a new y = h x h^-1 sets t_y = h t_x and t_y^-1 = t_x^-1 h^-1, with
+    h^-1 from group.gen_inverses().  An edge into a reached y gives the
+    Schreier generator t_y^-1 h t_x of C(g); it is kept when it lies outside
+    the subgroup the kept ones generate, which is then closed again.  Once
+    that subgroup has |G|/size elements the rest of the class is only
+    counted.  The walk must reach exactly size elements and the subgroup
+    exactly |G|/size elements, which makes the subgroup C(g); anything else
+    raises."""
+    order = group.order
+    gens = group.gen_perms
+    conj = group.conj_table()
+    offs = [k * order for k in range(len(gens))]
+    if size == 1:
+        if any(conj[off + gi] != gi for off in offs):
+            raise RuntimeError("element %d is not central" % gi)
+        return gens
+    target = order // size
+    steps = list(zip(gens, group.gen_inverses(), offs))
+    mv = group.field.size ** group.n
+    ident = identity_perm(mv)
+    trans = {gi: (ident, ident)}
+    cgens, sub = [], {ident}
+    seen = bytearray(order)
+    seen[gi] = 1
+    queue = [gi]
+    for x in queue:  # the queue grows while it is read: breadth-first
+        tx, txinv = trans[x] if len(sub) < target else (None, None)
+        for h, hinv, off in steps:
+            y = conj[off + x]
+            if not seen[y]:
+                seen[y] = 1
+                queue.append(y)
+                if tx is not None:
+                    trans[y] = (p_compose(h, tx), p_compose(txinv, hinv))
+            elif tx is not None:
+                s = p_compose(trans[y][1], p_compose(h, tx))
+                if s not in sub:
+                    cgens.append(s)
+                    sub = _perm_closure(cgens, mv, target)
+                    if len(sub) == target:
+                        tx = None
+    if len(queue) != size or len(sub) != target:
+        raise RuntimeError("class of element %d has %d elements and a "
+                           "centralizer subgroup of order %d; expected %d "
+                           "and %d" % (gi, len(queue), len(sub), size, target))
+    return cgens
+
+
 def orbit_sum_check(group: MatrixGroup, cap: int = DEFAULT_CAP):
     """For each class representative g of G: the number of orbits of its
     centralizer on V/[g,V], where [g,V] = (g-1)V.  Returns (per-class orbit
-    counts, their sum); the sum equals the class count of V x| G."""
+    counts, their sum); the sum equals the class count of V x| G.
+
+    Each centralizer is given by the few Schreier generators that
+    centralizer_generators collects on a walk over the class of g, and the
+    coset orbits are closed under those generators.  The walk reads only
+    G's conjugation tables and the class sizes of its matrix class scan,
+    never the affine scan."""
     F, n = group.field, group.n
     mv = F.size ** n
     add, neg = _vector_tables(F, n, cap)
     perms = group.perms
     dec = count_classes(group)
     out = []
-    for gi in dec.rep_indices:
+    for gi, size in zip(dec.rep_indices, dec.sizes):
         pg = perms[gi]
         image = sorted({add[pg[x] * mv + neg[x]] for x in range(mv)})
         # cosets of [g,V], labeled by their least member
@@ -242,7 +314,7 @@ def orbit_sum_check(group: MatrixGroup, cap: int = DEFAULT_CAP):
             cosets.append(v)
             for w in image:
                 label[add[v * mv + w]] = v
-        cent = [h for h in perms if p_compose(h, pg) == p_compose(pg, h)]
+        cent = centralizer_generators(group, gi, size)
         seen = set()
         cnt = 0
         for v in cosets:

@@ -462,6 +462,7 @@ class MatrixGroup:
         self.gen_perms = gen_perms
         self.order = len(elements)
         self._perm_index = None
+        self._gen_inverses = None
         self._conj_table = None
         self._classes = None
 
@@ -470,14 +471,19 @@ class MatrixGroup:
             self._perm_index = {p: i for i, p in enumerate(self.perms)}
         return self._perm_index
 
+    def gen_inverses(self) -> list:
+        """The inverses of gen_perms, in the same order, inverted once."""
+        if self._gen_inverses is None:
+            self._gen_inverses = [p_invert(hp) for hp in self.gen_perms]
+        return self._gen_inverses
+
     def conj_table(self) -> array:
         """For each generator h in turn, the index map i -> index of
         h g_i h^-1, all maps back to back (map k at offset k * order)."""
         if self._conj_table is None:
             idx = self.perm_index()
             out = array("i")
-            for hp in self.gen_perms:
-                hinv = p_invert(hp)
+            for hp, hinv in zip(self.gen_perms, self.gen_inverses()):
                 out.extend(idx[p_compose(p_compose(hp, p), hinv)]
                            for p in self.perms)
             self._conj_table = out

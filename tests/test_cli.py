@@ -425,7 +425,10 @@ class TestOracle:
                            "--n", "2", "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["k"] == sum(c["orbits"] for c in payload["classes"]) == 42
+        orbits = [c["orbits"] for c in payload["classes"]]
+        assert orbits == [1, 1, 10, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+                          1, 1, 10, 1, 2, 1]
+        assert payload["k"] == sum(orbits) == 42
         assert payload["direct_enumeration"] is None
 
     def test_cap_exceeded(self, capsys, monkeypatch):

@@ -20,12 +20,14 @@ from affineclasses.oracle import (AffineGroup, CapExceeded, VERIFICATION_GRID,
                                   formula_check_o, orbit_sum_check)
 from affineclasses.oracle import groups as groups_mod
 from affineclasses.oracle import kernels as kernel_mod
-from affineclasses.oracle.engine import unipotent_partition
+from affineclasses.oracle.engine import (centralizer_generators,
+                                         unipotent_partition)
 from affineclasses.oracle.field import field_for_order, finite_field
-from affineclasses.oracle.groups import (_greedy_generators, expected_order,
-                                        index_vec, mat_det, mat_identity,
-                                        mat_mul, mat_rank, mat_vec, p_compose,
-                                        p_invert, perm_from_matrix, points,
+from affineclasses.oracle.groups import (_greedy_generators, _perm_closure,
+                                        expected_order, index_vec, mat_det,
+                                        mat_identity, mat_mul, mat_rank,
+                                        mat_vec, p_compose, p_invert,
+                                        perm_from_matrix, points,
                                         preserves_form, vec_index)
 from affineclasses.partitions import d_stat, enum_partitions
 
@@ -455,8 +457,39 @@ class TestOrbitSums:
 
     def test_sp43_orbit_total(self):
         # linear part fits the cap even though the affine group does not
-        _, total = orbit_sum_check(build_group("Sp", 4, 3))
+        o, total = orbit_sum_check(build_group("Sp", 4, 3))
+        assert o == [1, 1, 2, 1, 2, 1, 1, 1, 2, 1, 2, 4, 2, 2, 1, 1, 1,
+                     2, 2, 2, 2, 2, 2, 2, 1, 3, 1, 2, 3, 1, 3, 1, 2, 1]
         assert total == 58
+
+
+class TestCentralizerGenerators:
+    @pytest.mark.parametrize("family,dim,q", VERIFICATION_GRID)
+    def test_generators_span_the_centralizer(self, family, dim, q):
+        g = build_group(family, dim, q)
+        dec = count_classes(g)
+        mv = g.field.size ** dim
+        for gi, size in zip(dec.rep_indices, dec.sizes):
+            pg = g.perms[gi]
+            gens = centralizer_generators(g, gi, size)
+            assert all(p_compose(h, pg) == p_compose(pg, h) for h in gens)
+            assert len(_perm_closure(gens, mv, g.order)) == g.order // size
+            if size == 1:
+                assert gens == g.gen_perms
+
+    @pytest.mark.parametrize("wrong", [24, 6])
+    def test_wrong_class_size_raises(self, wrong):
+        # GL(2,3) has order 48; a class of 12 elements has a centralizer of
+        # order 4, so 24 asks for one of order 2, which a subgroup of it
+        # reaches before the walk is done, and 6 for one of order 8
+        g = build_group("GL", 2, 3)
+        dec = count_classes(g)
+        i = dec.sizes.index(12)
+        with pytest.raises(RuntimeError):
+            centralizer_generators(g, dec.rep_indices[i], wrong)
+        dec.sizes = dec.sizes[:i] + [wrong] + dec.sizes[i + 1:]
+        with pytest.raises(RuntimeError):
+            orbit_sum_check(g)
 
 
 # ---------------------------------------------------------------------------
