@@ -331,19 +331,22 @@ class Interval:
         return "Interval(%s, %s)" % (self.lo, self.hi)
 
 
-def geometric_factor_product(t: Fraction, step: int, offset: int, sign: int,
-                             invert: bool, terms: int = 60,
-                             power: int = 1) -> Interval:
-    """Enclosure of prod_{i>=1} (1 + sign * t^(step*i + offset))^(p) with
-    p = power (negated when invert), for 0 < t < 1.
+def geometric_factor_product(t: Fraction, fam: FactorFamily,
+                             terms: int = 60) -> Interval:
+    """Enclosure of fam's product prod_{i>=1} (1 + c t^(step*i + offset))^power
+    at u = t, 0 < t < 1, for a coefficient c of +1 or -1.
 
     The first `terms` factors are exact; beyond them, factors of the four
-    sign/invert shapes are squeezed between 1 - S and 1/(1 - S) where
-    S = sum of the remaining t-powers, a plain geometric series.
+    sign and power-sign shapes are squeezed between 1 - S and 1/(1 - S)
+    where S = sum of the remaining t-powers, a plain geometric series.
     """
+    sign, step, offset = fam.coefficient, fam.step, fam.offset
+    if sign not in (1, -1):
+        raise ValueError("enclosures need a coefficient of +1 or -1")
     t = Fraction(t)
     if not 0 < t < 1:
         raise ValueError("t must be in (0,1)")
+    invert = fam.power < 0
     val = Fraction(1)
     for i in range(1, terms + 1):
         f = 1 + sign * t ** (step * i + offset)
@@ -357,24 +360,30 @@ def geometric_factor_product(t: Fraction, step: int, offset: int, sign: int,
         iv = Interval(val, val / (1 - tail_sum))
     else:
         iv = Interval(val * (1 - tail_sum), val)
-    return iv.power(power)
+    return iv.power(abs(fam.power))
+
+
+def _enclose(t: Fraction, families) -> Interval:
+    """Enclosure of the product of several factor families at u = t."""
+    iv = Interval(1, 1)
+    for fam in families:
+        iv = iv * geometric_factor_product(t, fam)
+    return iv
 
 
 # ---------------------------------------------------------------------------
 # coefficient-sum enclosures (for the constants that come from series)
 
+#: H(u) = prod (1+u^(2i-1))^4 / (1-u^(2i)): all coefficients nonnegative
+_H = (FactorFamily(1, 2, -1, power=4), FactorFamily(-1, 2, power=-1))
+
+
 def _h_series(order: int) -> TruncatedSeries:
-    """prod (1+u^(2i-1))^4 / (1-u^(2i)): all coefficients nonnegative."""
-    return apply_product(TruncatedSeries.one(RATIONAL, order), [
-        FactorFamily(1, lambda i: 2 * i - 1, power=4),
-        FactorFamily(-1, lambda i: 2 * i, power=-1),
-    ])
+    return apply_product(TruncatedSeries.one(RATIONAL, order), _H)
 
 
-def _h_value_interval(rho: Fraction, terms: int = 60) -> Interval:
-    a = geometric_factor_product(rho, 2, -1, +1, False, terms, power=4)
-    b = geometric_factor_product(rho, 2, 0, -1, True, terms)
-    return a * b
+def _h_value_interval(rho: Fraction) -> Interval:
+    return _enclose(rho, _H)
 
 
 def _coefficient_sum(coeff_of_m, q: int, parity_offset: int,
@@ -423,22 +432,20 @@ def _reciprocal(q):
 # is its key in _CONSTANTS.
 
 def _const_pentagonal():
-    iv = geometric_factor_product(_reciprocal(2), 1, 0, +1, False)
-    return Fraction(12, 5), iv
+    return Fraction(12, 5), geometric_factor_product(_reciprocal(2), FactorFamily(1, 1))
 
 
 def _const_agu_master():
     q = 2
-    iv = geometric_factor_product(_reciprocal(q), 1, 0, +1, False) \
-        * geometric_factor_product(_reciprocal(q), 1, 0, -1, True)
+    iv = _enclose(_reciprocal(q), [FactorFamily(1, 1), FactorFamily(-1, 1, power=-1)])
     iv = iv * (1 + Fraction(1, 1) / (1 - Fraction(1, q * q)))
     return 20, iv
 
 
 def _const_asp_odd_master():
     q = 3
-    iv = geometric_factor_product(_reciprocal(q), 1, 0, +1, False, power=4) \
-        * geometric_factor_product(_reciprocal(q), 1, 0, -1, True)
+    iv = _enclose(_reciprocal(q), [FactorFamily(1, 1, power=4),
+                                   FactorFamily(-1, 1, power=-1)])
     iv = iv * (1 + Fraction(1, 1) / (1 - Fraction(1, q)))
     return 27, iv
 
@@ -446,10 +453,9 @@ def _const_asp_odd_master():
 def _const_asp_even_master():
     q = 2
     t = _reciprocal(q)
-    common = geometric_factor_product(t, 1, 0, +1, False) \
-        * geometric_factor_product(t, 1, 0, -1, True)
-    first = geometric_factor_product(t, 4, -2, -1, True, power=2)
-    second = geometric_factor_product(t, 2, -1, +1, False, power=2) \
+    common = _enclose(t, [FactorFamily(1, 1), FactorFamily(-1, 1, power=-1)])
+    first = geometric_factor_product(t, FactorFamily(-1, 4, -2, power=-2))
+    second = geometric_factor_product(t, FactorFamily(1, 2, -1, power=2)) \
         * (1 - Fraction(1, q))
     iv = Fraction(1, 1) / (1 - t) * (common * (first + second))
     return 56, iv
@@ -457,8 +463,7 @@ def _const_asp_even_master():
 
 def _const_ao_diff(q, claimed):
     t = _reciprocal(q)
-    iv = geometric_factor_product(t, 2, -1, +1, False) \
-        * geometric_factor_product(t, 2, -1, -1, True)
+    iv = _enclose(t, [FactorFamily(1, 2, -1), FactorFamily(-1, 2, -1, power=-1)])
     iv = iv * (Fraction(1, 1) / (1 - t))
     return claimed, iv
 
@@ -496,12 +501,10 @@ def _const_o_classical(parity, claimed):
 def _const_ao_even_sum():
     q = 2
     t = _reciprocal(q)
-    p1 = geometric_factor_product(t, 1, 0, +1, False) \
-        * geometric_factor_product(t, 2, -1, +1, False, power=2) \
-        * geometric_factor_product(t, 1, 0, -1, True)
-    p2 = geometric_factor_product(t, 4, 0, -1, False) \
-        * geometric_factor_product(t, 4, -2, -1, True) \
-        * geometric_factor_product(t, 1, 0, -1, True, power=2)
+    p1 = _enclose(t, [FactorFamily(1, 1), FactorFamily(1, 2, -1, power=2),
+                      FactorFamily(-1, 1, power=-1)])
+    p2 = _enclose(t, [FactorFamily(-1, 4), FactorFamily(-1, 4, -2, power=-1),
+                      FactorFamily(-1, 1, power=-2)])
     iv = Fraction(1, 1) / (1 - t) * (p1 + Fraction(4 * (q - 1), q) * p2)
     # the lower end of the enclosure already exceeds the claimed 111.6, so
     # the claim fails as stated; the grid cells still confirm 60 q^n

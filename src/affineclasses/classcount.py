@@ -120,109 +120,35 @@ def _ring_for(q):
     return QPOLY if isinstance(q, QPoly) else RATIONAL
 
 
-def _i(i):
-    return i
-
-
-def _odd_idx(i):
-    return 2 * i - 1
-
-
-def _even_idx(i):
-    return 2 * i
-
-
-def _four_idx(i):
-    return 4 * i
-
-
-def _four_m2_idx(i):
-    return 4 * i - 2
-
-
 # ---------------------------------------------------------------------------
 # classical generating functions
 
-def _product(q, order, families):
-    ring = _ring_for(q)
-    return apply_product(TruncatedSeries.one(ring, order), families)
-
-
-def _gl(q, order):
-    return _product(q, order, [
-        FactorFamily(-1, _i),
-        FactorFamily(-q, _i, power=-1),
-    ])
-
-
-def _gu(q, order):
-    return _product(q, order, [
-        FactorFamily(1, _i),
-        FactorFamily(-q, _i, power=-1),
-    ])
-
-
-def _sp_odd(q, order):
-    return _product(q, order, [
-        FactorFamily(1, _i, power=4),
-        FactorFamily(-q, _i, power=-1),
-    ])
-
-
-def _sp_even(q, order):
-    # quotient form; see _sp_even_proof_form for the equivalent product
-    return _product(q, order, [
-        FactorFamily(-1, _four_idx),
-        FactorFamily(-1, _four_m2_idx, power=-1),
-        FactorFamily(-1, _i, power=-1),
-        FactorFamily(-q, _i, power=-1),
-    ])
-
-
-def _sp_even_proof_form(q, order):
-    return _product(q, order, [
-        FactorFamily(1, _i),
-        FactorFamily(-q, _i, power=-1),
-        FactorFamily(-1, _four_m2_idx, power=-2),
-    ])
-
-
-def _o_sum_odd(q, order):
-    return _product(q, order, [
-        FactorFamily(1, _odd_idx, power=4),
-        FactorFamily(-q, _even_idx, power=-1),
-    ])
-
-
-def _o_diff_odd(q, order):
-    return _product(q, order, [
-        FactorFamily(-1, _four_m2_idx),
-        FactorFamily(-q, _four_idx, power=-1),
-    ])
-
-
-def _o_sum_even(q, order):
-    return _product(q, order, [
-        FactorFamily(1, _i),
-        FactorFamily(1, _odd_idx, power=2),
-        FactorFamily(-q, _i, power=-1),
-    ])
-
-
-def _o_diff_even(q, order):
-    return _product(q, order, [
-        FactorFamily(-1, _odd_idx),
-        FactorFamily(-q, _even_idx, power=-1),
-    ])
-
-
+#: each classical generating function as a product: for (family, ch), the
+#: q-free factors of its unipotent part and the step s of the factor
+#: prod 1/(1 - q u^(s i)) that closes it
 _CLASSICAL = {
-    ("GL", "odd"): _gl, ("GL", "even"): _gl,
-    ("GU", "odd"): _gu, ("GU", "even"): _gu,
-    ("Sp", "odd"): _sp_odd, ("Sp", "even"): _sp_even,
-    ("O-sum", "odd"): _o_sum_odd, ("O-sum", "even"): _o_sum_even,
-    ("O-diff", "odd"): _o_diff_odd, ("O-diff", "even"): _o_diff_even,
+    ("GL", "odd"): ((FactorFamily(-1, 1),), 1),
+    ("GL", "even"): ((FactorFamily(-1, 1),), 1),
+    ("GU", "odd"): ((FactorFamily(1, 1),), 1),
+    ("GU", "even"): ((FactorFamily(1, 1),), 1),
+    ("Sp", "odd"): ((FactorFamily(1, 1, power=4),), 1),
+    # quotient form; sp_even_proof_form is the equivalent product
+    ("Sp", "even"): ((FactorFamily(-1, 4), FactorFamily(-1, 4, -2, power=-1),
+                      FactorFamily(-1, 1, power=-1)), 1),
+    ("O-sum", "odd"): ((FactorFamily(1, 2, -1, power=4),), 2),
+    ("O-sum", "even"): ((FactorFamily(1, 1), FactorFamily(1, 2, -1, power=2)), 1),
+    ("O-diff", "odd"): ((FactorFamily(-1, 4, -2),), 4),
+    ("O-diff", "even"): ((FactorFamily(-1, 2, -1),), 2),
 }
+
+#: the even-characteristic Sp series is also the GU product times these
+_SP_EVEN_PROOF = (FactorFamily(-1, 4, -2, power=-2),)
+
+
+def _classical(family, ch, q, order):
+    unipotent, step = _CLASSICAL[family, ch]
+    return apply_product(TruncatedSeries.one(_ring_for(q), order),
+                         unipotent + (FactorFamily(-q, step, power=-1),))
 
 
 def classical_series(family: str, q, order: int = DEFAULT_ORDER,
@@ -231,13 +157,13 @@ def classical_series(family: str, q, order: int = DEFAULT_ORDER,
     ch = characteristic(q, ch)
     if (family, ch) not in _CLASSICAL:
         raise ValueError("%r is not a classical family" % (family,))
-    return _CLASSICAL[family, ch](q, order)
+    return _classical(family, ch, q, order)
 
 
 def sp_even_proof_form(q, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Alternative product form of the even-characteristic symplectic series;
     must agree with classical_series(Sp, even) coefficientwise."""
-    return _sp_even_proof_form(q, order)
+    return apply_product(_classical("GU", "even", q, order), _SP_EVEN_PROOF)
 
 
 # ---------------------------------------------------------------------------
@@ -259,32 +185,27 @@ def affine_series(family: str, q, order: int = DEFAULT_ORDER,
         raise ValueError("%r is not an affine family" % (family,))
     one = TruncatedSeries.one(_ring_for(q), order)
     if family == "AGL":
-        return _geo(1, 1, q, order) * _gl(q, order)
+        return _geo(1, 1, q, order) * _classical("GL", ch, q, order)
     if family == "AGU":
         w = one + (_mon(q, 2, q, order) + _mon(q - 1, 1, q, order)) * _geo(1, 2, q, order)
-        return _gu(q, order) * w
+        return _classical("GU", ch, q, order) * w
     if family == "ASp":
         if ch == "odd":
             w = one + _mon(q, 1, q, order) * _geo(1, 1, q, order)
-            return _sp_odd(q, order) * w
-        a = _product(q, order, [
-            FactorFamily(1, _i),
-            FactorFamily(-q, _i, power=-1),
-        ])
-        b = _product(q, order, [FactorFamily(-1, _four_m2_idx, power=-2)])
-        c = _product(q, order, [FactorFamily(1, _odd_idx, power=2)])
-        return _geo(1, 1, q, order) * a * (b + _mon(q - 1, 1, q, order) * c)
+            return _classical("Sp", ch, q, order) * w
+        gu = _classical("GU", ch, q, order)
+        b = apply_product(gu, _SP_EVEN_PROOF)
+        c = apply_product(gu, [FactorFamily(1, 2, -1, power=2)])
+        return _geo(1, 1, q, order) * (b + _mon(q - 1, 1, q, order) * c)
     if family == "AO-sum":
         if ch == "odd":
             w = one + (_mon(1, 2, q, order) + _mon(q - 1, 1, q, order)) * _geo(1, 2, q, order)
-            return _o_sum_odd(q, order) * w
-        k_o = _o_sum_even(q, order)
-        k_sp = _sp_even(q, order)
+            return _classical("O-sum", ch, q, order) * w
+        k_o = _classical("O-sum", ch, q, order)
+        k_sp = _classical("Sp", ch, q, order)
         return _geo(1, 1, q, order) * (k_o + _mon(4 * (q - 1), 1, q, order) * k_sp)
     # AO-diff
-    if ch == "odd":
-        return _geo(1, 2, q, order) * _o_diff_odd(q, order)
-    return _geo(1, 1, q, order) * _o_diff_even(q, order)
+    return _geo(1, 2 if ch == "odd" else 1, q, order) * _classical("O-diff", ch, q, order)
 
 
 # ---------------------------------------------------------------------------
@@ -404,29 +325,25 @@ def orbit_built_series(family: str, q, order: int = DEFAULT_ORDER,
         raise ValueError("orbit assembly of %s needs odd q" % family)
     ring = _ring_for(q)
     zero = TruncatedSeries.zero(ring, order)
+    t1 = _classical(family[1:], ch, q, order)  # AGL -> GL, ..., AO-diff -> O-diff
 
     if family == "AGL":
-        t1 = _gl(q, order)
         r2 = _mon(1, 1, q, order) * _geo(1, 1, q, order)
         return OrbitPieces(family, t1, t1 * r2, zero)
     if family == "AGU":
-        t1 = _gu(q, order)
         r2 = _mon(q, 1, q, order) * _geo(1, 1, q, order)
         r3 = _mon(1, 1, q, order) * _geo(1, 2, q, order)
         return OrbitPieces(family, t1, t1 * r2, t1 * r3)
     if family == "ASp":
-        t1 = _sp_odd(q, order)
         r2 = _mon(1, 1, q, order) * _geo(1, 2, q, order)
         r3 = (_mon(q - 1, 1, q, order) * _geo(1, 1, q, order)
               + _mon(1, 2, q, order) * _geo(1, 2, q, order))
         return OrbitPieces(family, t1, t1 * r2, t1 * r3)
     if family == "AO-sum":
-        t1 = _o_sum_odd(q, order)
         r2 = _mon(1, 4, q, order) * _geo(1, 4, q, order)
         r3 = (_mon(q - 1, 1, q, order) * _geo(1, 2, q, order)
               + _mon(1, 2, q, order) * _geo(1, 4, q, order))
         return OrbitPieces(family, t1, t1 * r2, t1 * r3)
-    t1 = _o_diff_odd(q, order)
     r2 = _mon(1, 4, q, order) * _geo(1, 4, q, order)
     r3 = _mon(1, 2, q, order) * _geo(1, 4, q, order)
     return OrbitPieces(family, t1, t1 * r2, t1 * r3)

@@ -489,9 +489,6 @@ class MatrixGroup:
             self._conj_table = out
         return self._conj_table
 
-    def preserves_form(self, mat: tuple) -> bool:
-        return preserves_form(self.field, self.form, mat, self.n)
-
     def __len__(self):
         return self.order
 

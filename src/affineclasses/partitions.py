@@ -2,10 +2,16 @@
 
 Signed partitions label unipotent classes of symplectic and orthogonal groups
 in odd characteristic: a partition with a sign on each part size that carries
-an induced form (even sizes for the symplectic family, odd sizes for the
-orthogonal one).  The o_* functions give, per class, the number of orbits of
-the centralizer on the quotient of the natural module by its twisted image;
-summing them over all classes counts the classes of the affine group.
+an induced form.  One SignedPartition class covers both families through its
+parity: the signed sizes are the even ones for the symplectic family (parity
+0) and the odd ones for the orthogonal family (parity 1).  The o_* functions
+give, per class, the number of orbits of the centralizer on the quotient of
+the natural module by its twisted image; summing them over all classes counts
+the classes of the affine group.
+
+The partition identities are one table: each names the kind of partition it
+sums over, the statistic summed on the left, and the weight that multiplies
+the kind's product on the right.
 """
 
 from __future__ import annotations
@@ -61,64 +67,41 @@ class Partition:
         return "Partition(%r)" % (self.parts(),)
 
 
-class SpSignedPartition:
-    """Partition of even size with a_i even for odd i and a sign on every even
-    part size in the support."""
+class SignedPartition:
+    """A partition with a sign on every part size of the signed parity in
+    its support: parity 0 (even sizes signed) for the symplectic family, 1
+    (odd sizes signed) for the orthogonal one.  Part sizes of the other
+    parity need even multiplicity, which for parity 0 also makes the total
+    size even."""
 
-    __slots__ = ("mult", "signs", "size")
+    __slots__ = ("mult", "signs", "parity", "size")
 
-    def __init__(self, mult, signs):
+    def __init__(self, mult, signs, parity: int):
+        if parity not in (0, 1):
+            raise ValueError("parity is 0 (symplectic) or 1 (orthogonal)")
         self.mult = dict(mult)
         self.signs = dict(signs)
+        self.parity = parity
         self.size = sum(i * a for i, a in self.mult.items())
-        if self.size % 2:
-            raise ValueError("symplectic signed partitions have even size")
         for i, a in self.mult.items():
-            if i % 2 == 1 and a % 2:
-                raise ValueError("odd part sizes need even multiplicity")
-        if set(self.signs) != {i for i in self.mult if i % 2 == 0}:
-            raise ValueError("signs must be keyed by the even part sizes in the support")
+            if i % 2 != parity and a % 2:
+                raise ValueError("unsigned part sizes need even multiplicity")
+        if set(self.signs) != {i for i in self.mult if i % 2 == parity}:
+            raise ValueError("signs must be keyed by the part sizes of the "
+                             "signed parity in the support")
         if not set(self.signs.values()) <= {PLUS, MINUS}:
             raise ValueError("signs are '+' or '-'")
 
     def __eq__(self, other):
-        return (isinstance(other, SpSignedPartition)
+        return (isinstance(other, SignedPartition) and self.parity == other.parity
                 and self.mult == other.mult and self.signs == other.signs)
 
     def __hash__(self):
-        return hash((tuple(sorted(self.mult.items())), tuple(sorted(self.signs.items()))))
+        return hash((self.parity, tuple(sorted(self.mult.items())),
+                     tuple(sorted(self.signs.items()))))
 
     def __repr__(self):
-        return "SpSignedPartition(%r, %r)" % (self.mult, self.signs)
-
-
-class OSignedPartition:
-    """Partition with a_i even for even i and a sign on every odd part size in
-    the support."""
-
-    __slots__ = ("mult", "signs", "size")
-
-    def __init__(self, mult, signs):
-        self.mult = dict(mult)
-        self.signs = dict(signs)
-        self.size = sum(i * a for i, a in self.mult.items())
-        for i, a in self.mult.items():
-            if i % 2 == 0 and a % 2:
-                raise ValueError("even part sizes need even multiplicity")
-        if set(self.signs) != {i for i in self.mult if i % 2 == 1}:
-            raise ValueError("signs must be keyed by the odd part sizes in the support")
-        if not set(self.signs.values()) <= {PLUS, MINUS}:
-            raise ValueError("signs are '+' or '-'")
-
-    def __eq__(self, other):
-        return (isinstance(other, OSignedPartition)
-                and self.mult == other.mult and self.signs == other.signs)
-
-    def __hash__(self):
-        return hash((tuple(sorted(self.mult.items())), tuple(sorted(self.signs.items()))))
-
-    def __repr__(self):
-        return "OSignedPartition(%r, %r)" % (self.mult, self.signs)
+        return "SignedPartition(%r, %r, %d)" % (self.mult, self.signs, self.parity)
 
 
 def _mult_vectors(total, largest, step_ok):
@@ -158,29 +141,17 @@ def _sign_choices(sizes):
             yield out
 
 
-def _signed(base_iter, cls, signed_parity):
+def enum_signed(size: int, parity: int):
+    """Signed partitions of the given total size: parity 0 for the
+    symplectic family (the size must be even), 1 for the orthogonal one."""
+    if size < 0 or (parity == 0 and size % 2):
+        raise ValueError("size must be >= 0, and even for parity 0")
     out = []
-    for m in base_iter:
-        signed_sizes = sorted((i for i in m if i % 2 == signed_parity), reverse=True)
-        for signs in _sign_choices(signed_sizes):
-            out.append(cls(m, signs))
+    for m in _mult_vectors(size, size, lambda i, a: i % 2 == parity or a % 2 == 0):
+        signed_sizes = sorted((i for i in m if i % 2 == parity), reverse=True)
+        out.extend(SignedPartition(m, signs, parity)
+                   for signs in _sign_choices(signed_sizes))
     return out
-
-
-def enum_sp_signed(size: int):
-    """Symplectic signed partitions of the given (even) total size."""
-    if size % 2:
-        raise ValueError("size must be even")
-    base = _mult_vectors(size, size, lambda i, a: i % 2 == 0 or a % 2 == 0)
-    return _signed(base, SpSignedPartition, 0)
-
-
-def enum_o_signed(size: int):
-    """Orthogonal signed partitions of the given total size."""
-    if size < 0:
-        raise ValueError("size must be >= 0")
-    base = _mult_vectors(size, size, lambda i, a: i % 2 == 1 or a % 2 == 0)
-    return _signed(base, OSignedPartition, 1)
 
 
 def d_stat(lam) -> int:
@@ -222,138 +193,96 @@ def sp_f(i: int, a_i: int, eps, q):
     raise ValueError("a_i must be >= 1")
 
 
-def o_sp(lam: SpSignedPartition, q):
-    """Orbit count for a symplectic class in odd characteristic."""
-    _check_odd_q(q)
-    out = 1
-    for i, a in lam.mult.items():
-        if i % 2 == 1:
-            out = out + 1
-        else:
-            out = out + sp_f(i, a, lam.signs[i], q)
+def _unsigned_sizes(lam: SignedPartition) -> int:
+    """Number of part sizes in the support that carry no sign."""
+    return len(lam.mult) - len(lam.signs)
+
+
+def _f_sum(lam: SignedPartition, q):
+    """Sum of the weights sp_f over the signed part sizes."""
+    out = 0
+    for i, eps in lam.signs.items():
+        out = out + sp_f(i, lam.mult[i], eps, q)
     return out
 
 
-def o_orth(lam: OSignedPartition, q):
-    """Orbit count for an orthogonal class in odd characteristic; the roles of
-    odd and even part sizes are swapped relative to the symplectic case."""
+def o_signed(lam: SignedPartition, q):
+    """Orbit count for a symplectic (parity 0) or orthogonal (parity 1)
+    class in odd characteristic: 1 for the class, 1 per unsigned part size
+    and sp_f per signed one."""
     _check_odd_q(q)
-    out = 1
-    for i, a in lam.mult.items():
-        if i % 2 == 0:
-            out = out + 1
-        else:
-            out = out + sp_f(i, a, lam.signs[i], q)
-    return out
+    return 1 + _unsigned_sizes(lam) + _f_sum(lam, q)
 
 
 # ---------------------------------------------------------------------------
 # brute-force sums over (signed) partitions against closed-form series
 
-IDENTITIES = (
-    "distinct",
-    "genfunU-1", "genfunU-2", "genfunU-3",
-    "genfun-1", "genfun-2", "genfun-3",
-    "genfunO-1", "genfunO-2", "genfunO-3",
-)
+#: the partitions an identity sums over, by kind: the enumerator of those
+#: at u-degree n (plain and orthogonal ones by size, symplectic ones by half
+#: their size) and the product that their counts generate
+_KINDS = {
+    "plain": (enum_partitions, (FactorFamily(-1, 1, power=-1),)),
+    "Sp": (lambda n: enum_signed(2 * n, 0), (
+        FactorFamily(-1, 2, -1, power=-1),
+        FactorFamily(1, 1),
+        FactorFamily(-1, 1, power=-1),
+    )),
+    "O": (lambda n: enum_signed(n, 1), (
+        FactorFamily(-1, 4, power=-1),
+        FactorFamily(1, 2, -1),
+        FactorFamily(-1, 2, -1, power=-1),
+    )),
+}
 
-_SYMBOLIC = {"genfun-3", "genfunO-3"}
+#: identity -> (kind, statistic summed over the kind's partitions on the
+#: left, weight on the right).  The weight is a tuple of terms (c, k, j) of
+#: sum c u^k / (1 - u^j), with j = 0 for a plain c u^k, and the right side
+#: is the weight times the kind's product.  The identities whose weight is
+#: a polynomial in q are symbolic, and so is their statistic.
+_TABLE = {
+    "distinct": ("plain", o_gl, ((1, 0, 1),)),
+    "genfunU-1": ("plain", lambda lam: 1, ((1, 0, 0),)),
+    "genfunU-2": ("plain", d_stat, ((1, 1, 1),)),
+    "genfunU-3": ("plain", b_stat, ((1, 1, 2),)),
+    "genfun-1": ("Sp", lambda lam: 1, ((1, 0, 0),)),
+    "genfun-2": ("Sp", _unsigned_sizes, ((1, 1, 2),)),
+    "genfun-3": ("Sp", lambda lam: _f_sum(lam, Q), ((Q - 1, 1, 1), (1, 2, 2))),
+    "genfunO-1": ("O", lambda lam: 1, ((1, 0, 0),)),
+    "genfunO-2": ("O", _unsigned_sizes, ((1, 4, 4),)),
+    "genfunO-3": ("O", lambda lam: _f_sum(lam, Q), ((Q - 1, 1, 2), (1, 2, 4))),
+}
+
+IDENTITIES = tuple(_TABLE)
 
 
-def _support_count(lam, parity):
-    return sum(1 for i in lam.mult if i % 2 == parity)
-
-
-def _f_sum(lam, parity, q):
-    out = 0
-    for i, a in lam.mult.items():
-        if i % 2 == parity:
-            out = out + sp_f(i, a, lam.signs[i], q)
-    return out
+def _identity(identity: str):
+    """The table row of an identity and whether it is symbolic."""
+    if identity not in _TABLE:
+        raise ValueError("unknown identity %r" % (identity,))
+    kind, stat, weight = _TABLE[identity]
+    return kind, stat, weight, any(isinstance(c, QPoly) for c, _, _ in weight)
 
 
 def lemma_sum(identity: str, n_max: int):
     """Left sides of the partition identities, by direct enumeration.
 
-    Returns the coefficient list for n = 0..n_max.  Weights follow the
-    identity: plain partitions are weighted by u^|lam|, symplectic signed ones
-    by u^(|lam|/2), orthogonal signed ones by u^|lam|.
+    Returns the coefficient list for n = 0..n_max: the identity's statistic
+    summed over its kind's partitions at u-degree n, as ints, or as QPolys
+    for the symbolic identities.
     """
-    if identity not in IDENTITIES:
-        raise ValueError("unknown identity %r" % (identity,))
-    q = Q
-    out = []
-    for n in range(n_max + 1):
-        if identity == "distinct":
-            val = sum(d_stat(l) + 1 for l in enum_partitions(n))
-        elif identity == "genfunU-1":
-            val = len(enum_partitions(n))
-        elif identity == "genfunU-2":
-            val = sum(d_stat(l) for l in enum_partitions(n))
-        elif identity == "genfunU-3":
-            val = sum(b_stat(l) for l in enum_partitions(n))
-        elif identity == "genfun-1":
-            val = len(enum_sp_signed(2 * n))
-        elif identity == "genfun-2":
-            val = sum(_support_count(l, 1) for l in enum_sp_signed(2 * n))
-        elif identity == "genfun-3":
-            val = QPoly(0)
-            for l in enum_sp_signed(2 * n):
-                val = val + _f_sum(l, 0, q)
-        elif identity == "genfunO-1":
-            val = len(enum_o_signed(n))
-        elif identity == "genfunO-2":
-            val = sum(_support_count(l, 0) for l in enum_o_signed(n))
-        else:  # genfunO-3
-            val = QPoly(0)
-            for l in enum_o_signed(n):
-                val = val + _f_sum(l, 1, q)
-        out.append(val)
-    return out
+    kind, stat, _, symbolic = _identity(identity)
+    enum = _KINDS[kind][0]
+    start = QPoly(0) if symbolic else 0
+    return [sum(map(stat, enum(n)), start) for n in range(n_max + 1)]
 
 
 @lru_cache(maxsize=None)
 def lemma_rhs(identity: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Closed-form right sides of the partition identities, truncated."""
-    if identity not in IDENTITIES:
-        raise ValueError("unknown identity %r" % (identity,))
-    ring = QPOLY if identity in _SYMBOLIC else RATIONAL
-    one = TruncatedSeries.one(ring, order)
-
-    all_parts_inv = FactorFamily(-1, lambda i: i, power=-1)
-    if identity == "distinct":
-        return geometric(1, 1, ring, order) * apply_product(one, [all_parts_inv])
-    if identity.startswith("genfunU"):
-        base = apply_product(one, [all_parts_inv])
-        if identity == "genfunU-1":
-            return base
-        if identity == "genfunU-2":
-            return TruncatedSeries.monomial(1, 1, ring, order) * geometric(1, 1, ring, order) * base
-        return TruncatedSeries.monomial(1, 1, ring, order) * geometric(1, 2, ring, order) * base
-
-    if identity.startswith("genfun-"):
-        base = apply_product(one, [
-            FactorFamily(-1, lambda i: 2 * i - 1, power=-1),  # odd part sizes
-            FactorFamily(1, lambda i: i),
-            FactorFamily(-1, lambda i: i, power=-1),
-        ])
-        if identity == "genfun-1":
-            return base
-        if identity == "genfun-2":
-            return TruncatedSeries.monomial(1, 1, ring, order) * geometric(1, 2, ring, order) * base
-        w = (TruncatedSeries.monomial(Q - 1, 1, ring, order) * geometric(1, 1, ring, order)
-             + TruncatedSeries.monomial(1, 2, ring, order) * geometric(1, 2, ring, order))
-        return w * base
-
-    base = apply_product(one, [
-        FactorFamily(-1, lambda i: 4 * i, power=-1),
-        FactorFamily(1, lambda i: 2 * i - 1),
-        FactorFamily(-1, lambda i: 2 * i - 1, power=-1),
-    ])
-    if identity == "genfunO-1":
-        return base
-    if identity == "genfunO-2":
-        return TruncatedSeries.monomial(1, 4, ring, order) * geometric(1, 4, ring, order) * base
-    w = (TruncatedSeries.monomial(Q - 1, 1, ring, order) * geometric(1, 2, ring, order)
-         + TruncatedSeries.monomial(1, 2, ring, order) * geometric(1, 4, ring, order))
-    return w * base
+    kind, _, weight, symbolic = _identity(identity)
+    ring = QPOLY if symbolic else RATIONAL
+    w = TruncatedSeries.zero(ring, order)
+    for c, k, j in weight:
+        term = TruncatedSeries.monomial(c, k, ring, order)
+        w = w + (term * geometric(1, j, ring, order) if j else term)
+    return apply_product(w, _KINDS[kind][1])

@@ -309,31 +309,30 @@ class TruncatedSeries:
 
 
 class FactorFamily:
-    """One group of factors of an infinite product: prod over i>=1 of
-    (1 + coefficient * u^uexp(i)) ** power, with a constant coefficient.
+    """One group of factors of an infinite product:
+    prod over i >= 1 of (1 + coefficient * u^(step*i + offset)) ** power.
 
-    uexp must be strictly increasing so the product truncates after finitely
-    many factors at any fixed order.
+    The coefficient is a constant of the series ring (a number, or a QPoly
+    in q).  The u-exponents step*i + offset run up from step + offset by
+    step, so both must be at least 1 and the product truncates after
+    finitely many factors at any fixed order.  A negative power divides by
+    the factors.
     """
 
-    __slots__ = ("coefficient", "uexp", "power")
+    __slots__ = ("coefficient", "step", "offset", "power")
 
-    def __init__(self, coefficient, uexp, power=1):
+    def __init__(self, coefficient, step: int, offset: int = 0, power: int = 1):
+        if step < 1 or step + offset < 1:
+            raise ValueError("u-exponents step*i + offset need step >= 1 and "
+                             "step + offset >= 1")
         self.coefficient = coefficient
-        self.uexp = uexp
+        self.step = step
+        self.offset = offset
         self.power = power
 
-    def exponents_up_to(self, order):
-        """Yield the u-exponent j of every factor with j <= order."""
-        i = 0
-        while True:
-            i += 1
-            j = self.uexp(i)
-            if j < 1:
-                raise ValueError("u-exponent must be positive")
-            if j > order:
-                return
-            yield j
+    def exponents_up_to(self, order) -> range:
+        """The u-exponent j of every factor with j <= order."""
+        return range(self.step + self.offset, order + 1, self.step)
 
 
 def _mul_factor_inplace(coeffs, c, j, order):

@@ -20,6 +20,7 @@ from affineclasses.bounds import (BOUND_SPECS, CONSTANT_IDS, Q_ALL, BoundSpec,
                                   check_bound, geometric_factor_product,
                                   k_agl, k_ao_even_dim, k_asp)
 from affineclasses.classcount import affine_counts, affine_recursive
+from affineclasses.series import FactorFamily
 
 SPECS = {spec.id: spec for spec in BOUND_SPECS}
 
@@ -72,39 +73,43 @@ class TestInterval:
 
 class TestGeometricProduct:
     def test_doubling_product_encloses_reference(self):
-        iv = geometric_factor_product(Fraction(1, 2), 1, 0, +1, False)
+        iv = geometric_factor_product(Fraction(1, 2), FactorFamily(1, 1))
         pad = Fraction(1, 10**12)  # float literals carry ~16 digits
         assert iv.lo - pad <= Fraction(2.3842310290313717) <= iv.hi + pad
         assert width(iv) < Fraction(1, 10**12)
 
     def test_inverse_product_encloses_reference(self):
         # prod 1/(1-2^-i) = 3.462746619455062...
-        iv = geometric_factor_product(Fraction(1, 2), 1, 0, -1, True)
+        iv = geometric_factor_product(Fraction(1, 2), FactorFamily(-1, 1, power=-1))
         pad = Fraction(1, 10**12)
         assert iv.lo - pad <= Fraction(3.462746619455062) <= iv.hi + pad
 
     def test_decreasing_shapes_bounded_by_one(self):
-        down = geometric_factor_product(Fraction(1, 2), 1, 0, -1, False)
+        down = geometric_factor_product(Fraction(1, 2), FactorFamily(-1, 1))
         assert down.hi <= 1
-        inv = geometric_factor_product(Fraction(1, 2), 1, 0, +1, True)
+        inv = geometric_factor_product(Fraction(1, 2), FactorFamily(1, 1, power=-1))
         assert inv.hi <= 1
 
     def test_more_terms_nest(self):
-        coarse = geometric_factor_product(Fraction(1, 2), 1, 0, +1, False, terms=10)
-        fine = geometric_factor_product(Fraction(1, 2), 1, 0, +1, False, terms=40)
+        coarse = geometric_factor_product(Fraction(1, 2), FactorFamily(1, 1), terms=10)
+        fine = geometric_factor_product(Fraction(1, 2), FactorFamily(1, 1), terms=40)
         assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
         assert width(fine) < width(coarse)
 
     def test_power_argument(self):
-        single = geometric_factor_product(Fraction(1, 3), 1, 0, +1, False)
-        fourth = geometric_factor_product(Fraction(1, 3), 1, 0, +1, False, power=4)
+        single = geometric_factor_product(Fraction(1, 3), FactorFamily(1, 1))
+        fourth = geometric_factor_product(Fraction(1, 3), FactorFamily(1, 1, power=4))
         assert fourth.lo == single.lo ** 4
 
     def test_rejects_bad_base(self):
         with pytest.raises(ValueError):
-            geometric_factor_product(Fraction(3, 2), 1, 0, +1, False)
+            geometric_factor_product(Fraction(3, 2), FactorFamily(1, 1))
         with pytest.raises(ValueError):
-            geometric_factor_product(Fraction(1, 2), 1, 0, +1, False, terms=0)
+            geometric_factor_product(Fraction(1, 2), FactorFamily(1, 1), terms=0)
+
+    def test_rejects_coefficient_other_than_unit(self):
+        with pytest.raises(ValueError):
+            geometric_factor_product(Fraction(1, 2), FactorFamily(-3, 1))
 
 
 class TestConstants:

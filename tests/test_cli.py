@@ -4,6 +4,7 @@ Everything goes through main(argv) so the tests see exactly what a shell
 user sees: rendered text, exit codes, config and environment handling.
 """
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -280,6 +281,15 @@ class TestVerify:
         assert report["grid"] == "small"
         assert report["total"] == len(report["cases"])
         assert all(c["status"] == "pass" for c in report["cases"])
+
+    def test_identities_json_pinned(self, capsys):
+        # the JSON report prints each coefficient list through str(), so it
+        # also pins the coefficient types (int, Fraction, QPoly) of both sides
+        code, out, _ = run(capsys, "verify", "--suite", "identities",
+                           "--grid", "small", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "85bc411def59fd14d90f22137a385573725eb40686435573151eb685e83bc657")
 
     def test_json_to_stdout(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "cross-method",

@@ -6,21 +6,18 @@ from hypothesis import given, settings, strategies as st
 from affineclasses.partitions import (
     IDENTITIES,
     MINUS,
-    OSignedPartition,
     PLUS,
     Partition,
-    SpSignedPartition,
+    SignedPartition,
     b_stat,
     d_stat,
-    enum_o_signed,
     enum_partitions,
-    enum_sp_signed,
+    enum_signed,
     lemma_rhs,
     lemma_sum,
     o_gl,
     o_gu,
-    o_orth,
-    o_sp,
+    o_signed,
     sp_f,
 )
 from affineclasses.series import Q, QPoly
@@ -51,51 +48,59 @@ class TestEnumeration:
             Partition({2: 0})
 
     def test_sp_signed_small(self):
-        assert len(enum_sp_signed(0)) == 1
-        assert len(enum_sp_signed(2)) == 3
-        got = enum_sp_signed(2)
-        assert got[0] == SpSignedPartition({2: 1}, {2: PLUS})
-        assert got[1] == SpSignedPartition({2: 1}, {2: MINUS})
-        assert got[2] == SpSignedPartition({1: 2}, {})
+        assert len(enum_signed(0, 0)) == 1
+        assert len(enum_signed(2, 0)) == 3
+        got = enum_signed(2, 0)
+        assert got[0] == SignedPartition({2: 1}, {2: PLUS}, 0)
+        assert got[1] == SignedPartition({2: 1}, {2: MINUS}, 0)
+        assert got[2] == SignedPartition({1: 2}, {}, 0)
 
     def test_sp_signed_counts_match_series(self):
         rhs = lemma_rhs("genfun-1", 16)
         for n in range(8):
-            assert len(enum_sp_signed(2 * n)) == rhs.coeff(n)
+            assert len(enum_signed(2 * n, 0)) == rhs.coeff(n)
 
     def test_sp_signed_rejects_odd_total(self):
         with pytest.raises(ValueError):
-            enum_sp_signed(3)
+            enum_signed(3, 0)
 
     def test_sp_signed_validation(self):
         with pytest.raises(ValueError):
-            SpSignedPartition({1: 1, 2: 1}, {2: PLUS})  # odd size, odd mult
+            SignedPartition({1: 1, 2: 1}, {2: PLUS}, 0)  # odd size, odd mult
         with pytest.raises(ValueError):
-            SpSignedPartition({2: 1}, {})  # missing sign
+            SignedPartition({2: 1}, {}, 0)  # missing sign
         with pytest.raises(ValueError):
-            SpSignedPartition({2: 1}, {2: "x"})
+            SignedPartition({2: 1}, {2: "x"}, 0)
 
     def test_o_signed_small(self):
-        assert len(enum_o_signed(0)) == 1
-        assert len(enum_o_signed(1)) == 2
-        got = enum_o_signed(1)
-        assert got[0] == OSignedPartition({1: 1}, {1: PLUS})
-        assert got[1] == OSignedPartition({1: 1}, {1: MINUS})
+        assert len(enum_signed(0, 1)) == 1
+        assert len(enum_signed(1, 1)) == 2
+        got = enum_signed(1, 1)
+        assert got[0] == SignedPartition({1: 1}, {1: PLUS}, 1)
+        assert got[1] == SignedPartition({1: 1}, {1: MINUS}, 1)
 
     def test_o_signed_counts_match_series(self):
         rhs = lemma_rhs("genfunO-1", 16)
         for n in range(12):
-            assert len(enum_o_signed(n)) == rhs.coeff(n)
+            assert len(enum_signed(n, 1)) == rhs.coeff(n)
 
     def test_o_signed_validation(self):
         with pytest.raises(ValueError):
-            OSignedPartition({2: 1}, {})  # even size, odd mult
+            SignedPartition({2: 1}, {}, 1)  # even size, odd mult
         with pytest.raises(ValueError):
-            OSignedPartition({1: 1}, {})  # missing sign
+            SignedPartition({1: 1}, {}, 1)  # missing sign
+
+    def test_parity_separates_equal_data(self):
+        # only the empty partition has equal mult and signs in both families
+        sp, o = SignedPartition({}, {}, 0), SignedPartition({}, {}, 1)
+        assert sp != o
+        assert len({sp, o}) == 2
+        with pytest.raises(ValueError):
+            SignedPartition({}, {}, 2)
 
     def test_sign_order_largest_size_first(self):
         # two signed sizes: the larger one flips slower, '+' before '-'
-        got = [l.signs for l in enum_sp_signed(6) if l.mult == {4: 1, 2: 1}]
+        got = [l.signs for l in enum_signed(6, 0) if l.mult == {4: 1, 2: 1}]
         assert got == [
             {4: PLUS, 2: PLUS}, {4: PLUS, 2: MINUS},
             {4: MINUS, 2: PLUS}, {4: MINUS, 2: MINUS}]
@@ -134,20 +139,20 @@ class TestStats:
 
     def test_o_sp(self):
         # [2^2, 1^2] with sign on size 2
-        lam = SpSignedPartition({2: 2, 1: 2}, {2: PLUS})
-        assert o_sp(lam, 3) == 1 + 1 + 3
-        lam = SpSignedPartition({2: 2, 1: 2}, {2: MINUS})
-        assert o_sp(lam, 3) == 1 + 1 + 2
-        lam = SpSignedPartition({2: 1}, {2: PLUS})
-        assert o_sp(lam, 5) == 1 + 2
-        assert o_sp(SpSignedPartition({}, {}), 3) == 1
+        lam = SignedPartition({2: 2, 1: 2}, {2: PLUS}, 0)
+        assert o_signed(lam, 3) == 1 + 1 + 3
+        lam = SignedPartition({2: 2, 1: 2}, {2: MINUS}, 0)
+        assert o_signed(lam, 3) == 1 + 1 + 2
+        lam = SignedPartition({2: 1}, {2: PLUS}, 0)
+        assert o_signed(lam, 5) == 1 + 2
+        assert o_signed(SignedPartition({}, {}, 0), 3) == 1
 
     def test_o_orth(self):
-        lam = OSignedPartition({3: 1, 2: 2}, {3: MINUS})
-        assert o_orth(lam, 3) == 1 + 1 + 1
-        lam = OSignedPartition({1: 1}, {1: PLUS})
-        assert o_orth(lam, 7) == 1 + 3
-        assert o_orth(OSignedPartition({}, {}), 3) == 1
+        lam = SignedPartition({3: 1, 2: 2}, {3: MINUS}, 1)
+        assert o_signed(lam, 3) == 1 + 1 + 1
+        lam = SignedPartition({1: 1}, {1: PLUS}, 1)
+        assert o_signed(lam, 7) == 1 + 3
+        assert o_signed(SignedPartition({}, {}, 1), 3) == 1
 
 
 class TestIdentities:
@@ -177,15 +182,15 @@ class TestIdentities:
         for q0 in (3, 5):
             sym = lemma_sum("genfun-3", 5)
             for n in range(6):
-                num = sum(_f_sum(l, 0, q0) for l in enum_sp_signed(2 * n))
+                num = sum(_f_sum(l, q0) for l in enum_signed(2 * n, 0))
                 assert as_qpoly(sym[n])(q0) == num
 
     def test_orbit_sums_assemble_from_identities(self):
-        # sum of o_sp over signed partitions = genfun-1 + genfun-2 + genfun-3
+        # sum of o_signed over symplectic signed partitions = genfun-1 + genfun-2 + genfun-3
         for n in range(6):
             total = 0
-            for lam in enum_sp_signed(2 * n):
-                total = total + o_sp(lam, Q)
+            for lam in enum_signed(2 * n, 0):
+                total = total + o_signed(lam, Q)
             parts = (lemma_sum("genfun-1", n)[n] + lemma_sum("genfun-2", n)[n]
                      + lemma_sum("genfun-3", n)[n])
             assert as_qpoly(total) == as_qpoly(parts)
@@ -193,8 +198,8 @@ class TestIdentities:
     def test_orbit_sums_assemble_orthogonal(self):
         for n in range(7):
             total = 0
-            for lam in enum_o_signed(n):
-                total = total + o_orth(lam, Q)
+            for lam in enum_signed(n, 1):
+                total = total + o_signed(lam, Q)
             parts = (lemma_sum("genfunO-1", n)[n] + lemma_sum("genfunO-2", n)[n]
                      + lemma_sum("genfunO-3", n)[n])
             assert as_qpoly(total) == as_qpoly(parts)
@@ -229,7 +234,7 @@ def test_partition_sizes_and_order(n):
 @given(st.integers(min_value=0, max_value=6))
 @settings(max_examples=20, deadline=None)
 def test_sp_signed_constraints(n):
-    for lam in enum_sp_signed(2 * n):
+    for lam in enum_signed(2 * n, 0):
         assert lam.size == 2 * n
         for i, a in lam.mult.items():
             if i % 2 == 1:
@@ -240,7 +245,7 @@ def test_sp_signed_constraints(n):
 @given(st.integers(min_value=0, max_value=9))
 @settings(max_examples=20, deadline=None)
 def test_o_signed_constraints(n):
-    for lam in enum_o_signed(n):
+    for lam in enum_signed(n, 1):
         assert lam.size == n
         for i, a in lam.mult.items():
             if i % 2 == 0:
@@ -251,6 +256,6 @@ def test_o_signed_constraints(n):
 @given(st.integers(min_value=0, max_value=7), st.sampled_from([3, 5, 7, 9]))
 @settings(max_examples=40, deadline=None)
 def test_o_sp_positive_integer(n, q):
-    for lam in enum_sp_signed(2 * n):
-        v = o_sp(lam, q)
+    for lam in enum_signed(2 * n, 0):
+        v = o_signed(lam, q)
         assert isinstance(v, int) and v >= 1

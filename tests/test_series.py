@@ -102,30 +102,40 @@ class TestOps:
 class TestApplyProduct:
     def test_pentagonal_prefix(self):
         # prod (1 - u^i) starts 1 - u - u^2 + u^5 + u^7 - ...
-        fam = FactorFamily(-1, lambda i: i)
+        fam = FactorFamily(-1, 1)
         got = apply_product(ONE(order=7), [fam])
         assert got == series([1, -1, -1, 0, 0, 1, 0, 1], order=7)
 
     def test_inverse_factors_cancel(self):
-        fam = FactorFamily(-1, lambda i: i)
-        inv = FactorFamily(-1, lambda i: i, power=-1)
+        fam = FactorFamily(-1, 1)
+        inv = FactorFamily(-1, 1, power=-1)
         assert apply_product(ONE(order=12), [fam, inv]) == ONE(order=12)
 
     def test_gl_rank_one_coefficient(self):
         # prod (1-u^i)/(1-qu^i): coefficient of u is q-1, the class count of
         # the abelian group of invertible 1x1 matrices
         fams = [
-            FactorFamily(-1, lambda i: i),
-            FactorFamily(-Q, lambda i: i, power=-1),
+            FactorFamily(-1, 1),
+            FactorFamily(-Q, 1, power=-1),
         ]
         got = apply_product(ONE(QPOLY, order=3), fams)
         assert got.coeff(1) == Q - 1
 
     def test_power_four(self):
-        fam = FactorFamily(1, lambda i: i, power=4)
+        fam = FactorFamily(1, 1, power=4)
         got = apply_product(ONE(order=2), [fam])
         # (1+u)^4 (1+u^2)^4 = 1 + 4u + 10u^2 + ...
         assert [got.coeff(n) for n in range(3)] == [1, 4, 10]
+
+    def test_exponents_are_an_arithmetic_progression(self):
+        assert FactorFamily(1, 4, -2).exponents_up_to(14) == range(2, 15, 4)
+        assert list(FactorFamily(1, 2, -1).exponents_up_to(6)) == [1, 3, 5]
+
+    def test_family_rejects_exponents_below_one(self):
+        with pytest.raises(ValueError):
+            FactorFamily(-1, 0)
+        with pytest.raises(ValueError):
+            FactorFamily(-1, 2, -2)  # step + offset = 0
 
 
 class TestPowFactor:
@@ -164,7 +174,7 @@ def _pent_numbers(order):
 
 
 def test_pentagonal_theorem_order_60():
-    got = apply_product(ONE(order=60), [FactorFamily(-1, lambda i: i)])
+    got = apply_product(ONE(order=60), [FactorFamily(-1, 1)])
     want = _pent_numbers(60)
     for n in range(61):
         assert got.coeff(n) == want.get(n, 0)
@@ -219,6 +229,6 @@ def test_invert_two_sided(a, unit):
 @settings(max_examples=100, deadline=None)
 @given(_series_strategy(10), rationals)
 def test_family_and_negated_twin_cancel(base, c):
-    fam = FactorFamily(c, lambda i: i, power=2)
-    twin = FactorFamily(c, lambda i: i, power=-2)
+    fam = FactorFamily(c, 1, power=2)
+    twin = FactorFamily(c, 1, power=-2)
     assert apply_product(base, [fam, twin]) == base
