@@ -30,7 +30,7 @@ from .classcount import (AFFINE_FAMILIES, affine_counts, affine_recursive,
 from .oracle import (CapExceeded, DEFAULT_CAP, VERIFICATION_GRID, AffineGroup,
                      affine_order, build_affine, build_group, count_classes,
                      formula_check_o, orbit_sum_check)
-from .partitions import IDENTITIES, lemma_rhs, lemma_sum
+from .partitions import IDENTITIES, KINDS, lemma_rhs, lemma_sum
 from .series import (QPOLY, Q, QPoly, FactorFamily, TruncatedSeries,
                      apply_product, evaluate_q, geometric)
 
@@ -293,10 +293,12 @@ def suite_identities(grid: str):
 
     n_plain = 30 if full else 10
     n_signed = 14 if full else 6
+    sums = {}
+    for kind in KINDS:
+        sums.update(lemma_sum(kind, n_plain if kind == "plain" else n_signed))
     for ident in IDENTITIES:
-        signed = ident.startswith(("genfun-", "genfunO-"))
-        n_max = n_signed if signed else n_plain
-        got = lemma_sum(ident, n_max)
+        got = sums[ident]
+        n_max = len(got) - 1
         rhs = lemma_rhs(ident, n_max)
         cases.append(_series_case("identities/partition-%s" % ident,
                                   got, rhs, n_max))

@@ -181,8 +181,9 @@ def _check_odd_q(q):
         raise ValueError("this formula needs odd q")
 
 
-def sp_f(i: int, a_i: int, eps, q):
-    """The weight of a signed part size in the orbit-count formulas."""
+def sp_f(a_i: int, eps, q):
+    """The weight of a signed part size of multiplicity a_i and sign eps in
+    the orbit-count formulas; the size itself does not enter."""
     _check_odd_q(q)
     if a_i > 2:
         return q * 1
@@ -202,7 +203,7 @@ def _f_sum(lam: SignedPartition, q):
     """Sum of the weights sp_f over the signed part sizes."""
     out = 0
     for i, eps in lam.signs.items():
-        out = out + sp_f(i, lam.mult[i], eps, q)
+        out = out + sp_f(lam.mult[i], eps, q)
     return out
 
 
@@ -253,6 +254,7 @@ _TABLE = {
 }
 
 IDENTITIES = tuple(_TABLE)
+KINDS = tuple(_KINDS)
 
 
 def _identity(identity: str):
@@ -263,17 +265,29 @@ def _identity(identity: str):
     return kind, stat, weight, any(isinstance(c, QPoly) for c, _, _ in weight)
 
 
-def lemma_sum(identity: str, n_max: int):
-    """Left sides of the partition identities, by direct enumeration.
+def lemma_sum(kind: str, n_max: int) -> dict:
+    """Left sides of the partition identities of one kind, by direct
+    enumeration.
 
-    Returns the coefficient list for n = 0..n_max: the identity's statistic
-    summed over its kind's partitions at u-degree n, as ints, or as QPolys
-    for the symbolic identities.
+    For each n = 0..n_max the kind's partitions at u-degree n are
+    enumerated once, and every identity of that kind sums its statistic
+    over them.  Returns {identity: coefficient list for n = 0..n_max}, in
+    table order, with ints, or QPolys for the symbolic identities.
     """
-    kind, stat, _, symbolic = _identity(identity)
+    if kind not in _KINDS:
+        raise ValueError("unknown partition kind %r" % (kind,))
     enum = _KINDS[kind][0]
-    start = QPoly(0) if symbolic else 0
-    return [sum(map(stat, enum(n)), start) for n in range(n_max + 1)]
+    rows = {}
+    for name in IDENTITIES:
+        k, stat, _, symbolic = _identity(name)
+        if k == kind:
+            rows[name] = (stat, QPoly(0) if symbolic else 0, [])
+    for n in range(n_max + 1):
+        parts = enum(n)
+        for stat, start, sums in rows.values():
+            sums.append(sum(map(stat, parts), start))
+        del parts  # free degree n's partitions before degree n + 1's are built
+    return {name: sums for name, (_, _, sums) in rows.items()}
 
 
 @lru_cache(maxsize=None)

@@ -1,14 +1,18 @@
 """Exact truncated formal power series in one variable u.
 
 Two coefficient rings: plain rationals (Fraction) and QPoly, polynomials in a
-formal prime power q with rational coefficients.  Everything is exact; there is
-no floating point anywhere.  Series keep a fixed truncation order and all
-binary operations truncate to the smaller order of the two operands.
+formal prime power q with rational coefficients.  A QPoly keeps integer
+numerators over one common denominator, so the q-polynomials that occur in
+the generating functions, nearly all with integer coefficients, are added and
+multiplied as ints.  Everything is exact; there is no floating point anywhere.
+Series keep a fixed truncation order and all binary operations truncate to
+the smaller order of the two operands.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 RATIONAL = "rational"
 QPOLY = "q-polynomial"
@@ -19,35 +23,48 @@ _ZERO = Fraction(0)
 
 
 class QPoly:
-    """Polynomial in q over the rationals, coefficients lowest degree first."""
+    """Polynomial in q over the rationals: integer numerators ``n``, lowest
+    degree first, over one positive integer denominator ``d``.
 
-    __slots__ = ("c",)
+    The pair is kept canonical: ``n`` has no trailing zeros, gcd(d, *n) = 1,
+    and the zero polynomial is ``((), 1)``.  So equal polynomials have equal
+    fields, and a polynomial with integer coefficients has d = 1.  The
+    constructor takes ints and Fractions; ``c`` reads the coefficients back
+    as Fractions.
+    """
+
+    __slots__ = ("n", "d")
 
     def __init__(self, coeffs=()):
         if isinstance(coeffs, (int, Fraction)):
             coeffs = (coeffs,)
-        c = [x if type(x) is Fraction else Fraction(x) for x in coeffs]
-        while c and not c[-1]:
-            c.pop()
-        self.c = tuple(c)
+        c = [Fraction(x) for x in coeffs]
+        d = lcm(*(x.denominator for x in c))
+        p = _reduced([x.numerator * (d // x.denominator) for x in c], d)
+        self.n, self.d = p.n, p.d
+
+    @property
+    def c(self) -> tuple:
+        """The coefficients as Fractions, lowest degree first."""
+        return tuple(Fraction(x, self.d) for x in self.n)
 
     @property
     def degree(self):
-        return len(self.c) - 1
+        return len(self.n) - 1
 
     def is_constant(self):
-        return len(self.c) <= 1
+        return len(self.n) <= 1
 
     def constant(self) -> Fraction:
         # constant term; for is_constant() polynomials this is the whole value
-        return self.c[0] if self.c else _ZERO
+        return Fraction(self.n[0], self.d) if self.n else _ZERO
 
     def __bool__(self):
-        return bool(self.c)
+        return bool(self.n)
 
     def __eq__(self, other):
         if isinstance(other, QPoly):
-            return self.c == other.c
+            return self.n == other.n and self.d == other.d
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant() == other
         return NotImplemented
@@ -55,24 +72,28 @@ class QPoly:
     def __hash__(self):
         if self.is_constant():
             return hash(self.constant())
-        return hash(self.c)
+        return hash((self.n, self.d))
 
     def __add__(self, other):
         other = _as_qpoly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.c, other.c
+        a, b, d = self.n, other.n, self.d
+        if d != other.d:
+            g = gcd(d, other.d)
+            a = [x * (other.d // g) for x in a]
+            b = [x * (d // g) for x in b]
+            d = d // g * other.d
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] = out[i] + x
-        return QPoly(out)
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        return _reduced(out, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly([-x for x in self.c])
+        return _reduced([-x for x in self.n], self.d)
 
     def __sub__(self, other):
         other = _as_qpoly(other)
@@ -87,17 +108,17 @@ class QPoly:
         other = _as_qpoly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.c, other.c
+        a, b = self.n, other.n
         if not a or not b:
             return QPoly()
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-        return QPoly(out)
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for i, y in enumerate(b):
+            if y:
+                for j, x in enumerate(a, i):
+                    out[j] += x * y
+        return _reduced(out, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -108,7 +129,12 @@ class QPoly:
                 raise ZeroDivisionError("QPoly division only by constants")
             other = other.constant()
         s = Fraction(other)
-        return QPoly([x / s for x in self.c])
+        if not s:
+            raise ZeroDivisionError("QPoly division by zero")
+        num, den = s.numerator, s.denominator
+        if num < 0:
+            num, den = -num, -den
+        return _reduced([x * den for x in self.n], self.d * num)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -121,17 +147,20 @@ class QPoly:
     def __call__(self, q0):
         """Evaluate at a concrete value q0, exactly."""
         q0 = Fraction(q0)
-        acc = _ZERO
-        for x in reversed(self.c):
+        if q0.denominator == 1:
+            q0 = q0.numerator
+        acc = 0
+        for x in reversed(self.n):
             acc = acc * q0 + x
-        return acc
+        return Fraction(acc) / self.d
 
     def __str__(self):
-        if not self.c:
+        c = self.c
+        if not c:
             return "0"
         parts = []
-        for deg in range(len(self.c) - 1, -1, -1):
-            x = self.c[deg]
+        for deg in range(len(c) - 1, -1, -1):
+            x = c[deg]
             if not x:
                 continue
             neg = x < 0
@@ -151,6 +180,23 @@ class QPoly:
         return "QPoly(%s)" % (self,)
 
 
+def _reduced(n: list, d: int) -> QPoly:
+    """The QPoly n/d in canonical form, for int numerators n and an int d > 0."""
+    while n and not n[-1]:
+        n.pop()
+    if not n:
+        d = 1
+    elif d != 1:
+        g = gcd(d, *n)
+        if g != 1:
+            n = [x // g for x in n]
+            d //= g
+    p = object.__new__(QPoly)
+    p.n = tuple(n)
+    p.d = d
+    return p
+
+
 def _coef_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
@@ -160,6 +206,8 @@ def _coef_str(x: Fraction) -> str:
 def _as_qpoly(x):
     if isinstance(x, QPoly):
         return x
+    if type(x) is int:
+        return _reduced([x], 1)
     if isinstance(x, (int, Fraction)):
         return QPoly(x)
     return NotImplemented

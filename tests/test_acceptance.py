@@ -13,10 +13,8 @@ was quoted for still holds on the whole grid.
 import time
 from fractions import Fraction
 
-import pytest
-
 from affineclasses.bounds import (BOUND_SPECS, Q_ALL, certify_all,
-                                  check_ah_theorem, check_all_bounds, k_agl,
+                                  check_ah_theorem, check_all_bounds,
                                   k_ao_even_dim, k_asp)
 from affineclasses.classcount import affine_counts, affine_series, k_ah
 from affineclasses.cli import suite_cross_method, suite_identities, suite_oracle

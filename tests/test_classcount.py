@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from affineclasses.classcount import (
     AFFINE_FAMILIES,
-    OrbitPieces,
     TABLE_FAMILIES,
     affine_counts,
     affine_recursive,

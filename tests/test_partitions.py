@@ -1,10 +1,9 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from affineclasses.partitions import (
     IDENTITIES,
+    KINDS,
     MINUS,
     PLUS,
     Partition,
@@ -125,17 +124,17 @@ class TestStats:
         assert o_gu(Partition({}), 5) == 1
 
     def test_sp_f_table(self):
-        assert sp_f(2, 3, PLUS, 5) == 5
-        assert sp_f(2, 3, MINUS, 5) == 5
-        assert sp_f(2, 2, PLUS, 5) == 5
-        assert sp_f(2, 2, MINUS, 5) == 4
-        assert sp_f(2, 1, PLUS, 5) == 2
-        assert sp_f(2, 1, MINUS, 5) == 2
-        assert as_qpoly(sp_f(2, 1, PLUS, Q)) == (Q - 1) / 2
+        assert sp_f(3, PLUS, 5) == 5
+        assert sp_f(3, MINUS, 5) == 5
+        assert sp_f(2, PLUS, 5) == 5
+        assert sp_f(2, MINUS, 5) == 4
+        assert sp_f(1, PLUS, 5) == 2
+        assert sp_f(1, MINUS, 5) == 2
+        assert as_qpoly(sp_f(1, PLUS, Q)) == (Q - 1) / 2
 
     def test_sp_f_rejects_even_q(self):
         with pytest.raises(ValueError):
-            sp_f(2, 1, PLUS, 4)
+            sp_f(1, PLUS, 4)
 
     def test_o_sp(self):
         # [2^2, 1^2] with sign on size 2
@@ -155,18 +154,24 @@ class TestStats:
         assert o_signed(SignedPartition({}, {}, 1), 3) == 1
 
 
+def kind_of(identity):
+    return next(k for k in KINDS if identity in lemma_sum(k, 0))
+
+
 class TestIdentities:
     @pytest.mark.parametrize("identity", IDENTITIES)
     def test_lemma_sum_matches_rhs(self, identity):
         # plain partitions are cheap; signed ones grow faster
-        n_max = 14 if identity.startswith("genfunU") or identity == "distinct" else 9
-        lhs = lemma_sum(identity, n_max)
+        kind = kind_of(identity)
+        n_max = 14 if kind == "plain" else 9
+        lhs = lemma_sum(kind, n_max)[identity]
         rhs = lemma_rhs(identity, n_max)
+        assert len(lhs) == n_max + 1
         for n in range(n_max + 1):
             assert as_qpoly(lhs[n]) == as_qpoly(rhs.coeff(n)), (identity, n)
 
     def test_distinct_small_values(self):
-        assert lemma_sum("distinct", 3) == [1, 2, 4, 7]
+        assert lemma_sum("plain", 3)["distinct"] == [1, 2, 4, 7]
 
     def test_unknown_identity(self):
         with pytest.raises(ValueError):
@@ -174,13 +179,35 @@ class TestIdentities:
         with pytest.raises(ValueError):
             lemma_rhs("nope")
 
+    def test_unknown_kind(self):
+        # an identity name is not a kind
+        for kind in ("distinct", "sp", ""):
+            with pytest.raises(ValueError):
+                lemma_sum(kind, 3)
+
+    def test_each_kind_has_exactly_its_identities(self):
+        got = {kind: list(lemma_sum(kind, 2)) for kind in KINDS}
+        assert got == {
+            "plain": ["distinct", "genfunU-1", "genfunU-2", "genfunU-3"],
+            "Sp": ["genfun-1", "genfun-2", "genfun-3"],
+            "O": ["genfunO-1", "genfunO-2", "genfunO-3"],
+        }
+        assert [i for kind in KINDS for i in got[kind]] == list(IDENTITIES)
+
+    def test_sum_types(self):
+        # counts stay ints; the symbolic sums are QPolys from n = 0 on
+        for kind in KINDS:
+            for identity, sums in lemma_sum(kind, 3).items():
+                symbolic = identity in ("genfun-3", "genfunO-3")
+                assert all(isinstance(x, QPoly if symbolic else int) for x in sums)
+
     def test_symbolic_specialize_matches_numeric(self):
         # the two symbolic identities, evaluated at odd q, agree with
         # running the whole sum numerically at that q
         from affineclasses.partitions import _f_sum  # noqa: PLC2701
 
         for q0 in (3, 5):
-            sym = lemma_sum("genfun-3", 5)
+            sym = lemma_sum("Sp", 5)["genfun-3"]
             for n in range(6):
                 num = sum(_f_sum(l, q0) for l in enum_signed(2 * n, 0))
                 assert as_qpoly(sym[n])(q0) == num
@@ -191,8 +218,8 @@ class TestIdentities:
             total = 0
             for lam in enum_signed(2 * n, 0):
                 total = total + o_signed(lam, Q)
-            parts = (lemma_sum("genfun-1", n)[n] + lemma_sum("genfun-2", n)[n]
-                     + lemma_sum("genfun-3", n)[n])
+            sums = lemma_sum("Sp", n)
+            parts = sums["genfun-1"][n] + sums["genfun-2"][n] + sums["genfun-3"][n]
             assert as_qpoly(total) == as_qpoly(parts)
 
     def test_orbit_sums_assemble_orthogonal(self):
@@ -200,8 +227,8 @@ class TestIdentities:
             total = 0
             for lam in enum_signed(n, 1):
                 total = total + o_signed(lam, Q)
-            parts = (lemma_sum("genfunO-1", n)[n] + lemma_sum("genfunO-2", n)[n]
-                     + lemma_sum("genfunO-3", n)[n])
+            sums = lemma_sum("O", n)
+            parts = sums["genfunO-1"][n] + sums["genfunO-2"][n] + sums["genfunO-3"][n]
             assert as_qpoly(total) == as_qpoly(parts)
 
     def test_gu_orbit_sum_assembles(self):
@@ -210,9 +237,8 @@ class TestIdentities:
             total = QPoly(0)
             for lam in enum_partitions(n):
                 total = total + o_gu(lam, Q)
-            parts = (lemma_sum("genfunU-1", n)[n]
-                     + Q * lemma_sum("genfunU-2", n)[n]
-                     - lemma_sum("genfunU-3", n)[n])
+            sums = lemma_sum("plain", n)
+            parts = sums["genfunU-1"][n] + Q * sums["genfunU-2"][n] - sums["genfunU-3"][n]
             assert total == as_qpoly(parts)
 
 

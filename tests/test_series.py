@@ -1,12 +1,13 @@
 """Core arithmetic of the truncated series layer."""
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from affineclasses.series import (
-    DEFAULT_ORDER,
     FactorFamily,
     Q,
     QPOLY,
@@ -53,6 +54,27 @@ class TestQPoly:
         assert str(Q - 1) == "q - 1"
         assert str(-Q) == "-q"
         assert str(Q**2) == "q^2"
+
+    def test_integer_fields(self):
+        p = QPoly([Fraction(1, 2), Fraction(-1, 3), 0])
+        assert (p.n, p.d) == ((3, -2), 6)
+        assert ((Q + 1) * (Q - 1)).n == (-1, 0, 1)
+        assert ((Q + 1) * (Q - 1)).d == 1
+        assert (QPoly().n, QPoly().d) == ((), 1)
+        assert ((Q / 2) * 2).d == 1
+
+    def test_constants_agree_with_numbers(self):
+        half = Fraction(1, 2)
+        assert QPoly(half) == half and hash(QPoly(half)) == hash(half)
+        assert QPoly(3) == 3 and hash(QPoly(3)) == hash(3)
+        assert QPoly() == 0 and hash(QPoly()) == hash(0)
+        assert len({QPoly(3), 3, Fraction(3)}) == 1
+
+    def test_division_by_zero_raises(self):
+        for p in (QPoly(), QPoly(3), Q, (Q + 1) / 3):
+            for zero in (0, Fraction(0), QPoly()):
+                with pytest.raises(ZeroDivisionError):
+                    p / zero
 
 
 class TestOps:
@@ -181,16 +203,24 @@ def test_pentagonal_theorem_order_60():
         assert got.coeff(n) in (-1, 0, 1)
 
 
+@lru_cache(maxsize=None)
+def _distinct_parts(n, largest):
+    # partitions of n into distinct parts of size at most `largest`
+    if n == 0:
+        return 1
+    return sum(_distinct_parts(n - i, i - 1) for i in range(min(n, largest), 0, -1))
+
+
 def test_product_bound_constant():
     # prod_{i<=40} (1 + 2^-i) lands in [2.38, 2.4]
-    val = apply_product(
-        ONE(order=0), []
-    )  # placeholder to keep imports honest; the real value below
     prod = Fraction(1)
     for i in range(1, 41):
         prod *= 1 + Fraction(1, 2**i)
     assert Fraction(238, 100) < prod < Fraction(24, 10)
-    assert val.coeff(0) == 1
+    # prod_i (1 + u^i) counts partitions into distinct parts
+    val = apply_product(ONE(order=40), [FactorFamily(1, 1)])
+    assert [val.coeff(n) for n in range(41)] == [_distinct_parts(n, n) for n in range(41)]
+    assert val.coeff(40) == 1113
 
 
 rationals = st.fractions(
@@ -232,3 +262,85 @@ def test_family_and_negated_twin_cancel(base, c):
     fam = FactorFamily(c, 1, power=2)
     twin = FactorFamily(c, 1, power=-2)
     assert apply_product(base, [fam, twin]) == base
+
+
+# --- QPoly against a Fraction-coefficient reference ---------------------
+
+coefficients = st.one_of(
+    st.integers(min_value=-60, max_value=60),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+coefficient_lists = st.lists(coefficients, max_size=7)
+nonzero_scalars = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+).filter(bool)
+
+
+def _ref(cs):
+    out = [Fraction(x) for x in cs]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _ref(x + sign * y for x, y in zip(a, b))
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref(out)
+
+
+def _ref_eval(a, x):
+    return sum((c * x**k for k, c in enumerate(a)), Fraction(0))
+
+
+def _assert_canonical(p):
+    assert all(type(x) is int for x in p.n) and type(p.d) is int
+    assert p.d > 0
+    assert not p.n or p.n[-1] != 0
+    assert gcd(p.d, *p.n) == 1
+    if not p.n:
+        assert p.d == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefficient_lists, coefficient_lists)
+def test_qpoly_ring_ops_match_reference(xs, ys):
+    a, b = _ref(xs), _ref(ys)
+    p, r = QPoly(xs), QPoly(ys)
+    _assert_canonical(p)
+    assert p.c == a
+    for got, want in ((p + r, _ref_add(a, b)), (p - r, _ref_add(a, b, -1)),
+                      (p * r, _ref_mul(a, b)), (-p, _ref_add((), a, -1))):
+        _assert_canonical(got)
+        assert got.c == want
+        assert got == QPoly(want) and hash(got) == hash(QPoly(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefficient_lists, nonzero_scalars)
+def test_qpoly_scalar_division_matches_reference(xs, s):
+    p = QPoly(xs)
+    got = p / s
+    _assert_canonical(got)
+    assert got.c == _ref(x / Fraction(s) for x in _ref(xs))
+    assert got == p / QPoly(s)
+    assert (p / 2) * 2 == p
+    assert (got * s) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficient_lists, st.sampled_from(
+    [0, 1, -1, 2, 3, -7, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]))
+def test_qpoly_evaluation_matches_reference(xs, x):
+    got = QPoly(xs)(x)
+    assert type(got) is Fraction
+    assert got == _ref_eval(_ref(xs), Fraction(x))
