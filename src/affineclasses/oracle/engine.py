@@ -1,23 +1,22 @@
 """Conjugacy class counting by explicit orbit computation.
 
-Matrix groups are scanned through per-generator conjugation index tables.
-Affine groups V x| G are scanned on their translation quotient, without
-materializing their elements.  Conjugating (g, v) by the translation w gives
-(g, v + (1-g)w), so the translation orbit of (g, v) is the coset
-v + [g,V] of [g,V] = (g-1)V.  A state is a pair (g, c) with c the least
-member of such a coset; conjugation by h in G sends it to
-(h g h^-1, least member of h c + [h g h^-1, V]).  The G-orbits of states
+Matrix groups are scanned through per-generator conjugation index tables
+(MatrixGroup.conj_table).  Affine groups V x| G are scanned on their
+translation quotient, without materializing their elements.  Conjugating
+(g, v) by the translation w gives (g, v + (1-g)w), so the translation orbit
+of (g, v) is the coset v + [g,V] of [g,V] = (g-1)V.  A state is a pair
+(g, c) with c the least member of such a coset; conjugation by h in G sends
+it to (h g h^-1, least member of h c + [h g h^-1, V]).  The G-orbits of states
 are the affine classes, each state standing for |[g,V]| elements, and there
 are |G| times (number of G-orbits on V) states rather than |G|*|V| pairs.
 
 The orbit sums count, class by class, the orbits of the centralizer C(g) on
-V/[g,V].  C(g) is never listed: a breadth-first walk over the class of g
-through the conjugation tables carries transversal elements t_x with
-t_x g t_x^-1 = x, and by Schreier's lemma the elements t_y^-1 h t_x along
-its edges x -> y = h x h^-1 generate C(g).  The walk keeps those outside
-the subgroup generated so far and stops collecting at |G| / |class|, the
-order the class scan fixes, so the coset orbits close under a few
-generators rather than all of C(g).
+V/[g,V].  A breadth-first walk over the class of g through the conjugation
+tables carries transversal elements t_x with t_x g t_x^-1 = x, and by
+Schreier's lemma the elements t_y^-1 h t_x along its edges x -> y = h x h^-1
+generate C(g).  The walk keeps those outside the Closure of the ones kept so
+far and stops collecting at |G| / |class|, the order the class scan fixes,
+so the coset orbits close under a few generators rather than all of C(g).
 """
 
 from __future__ import annotations
@@ -28,10 +27,10 @@ from functools import lru_cache
 from ..partitions import Partition, o_gl, o_gu
 from . import kernels
 from .field import FiniteField
-from .groups import (CapExceeded, DEFAULT_CAP, MatrixGroup, _field_for,
-                     _perm_closure, build_group, expected_order,
-                     identity_perm, mat_identity, mat_mul, mat_rank, mat_sub,
-                     p_compose, points, vec_index)
+from .groups import (CapExceeded, Closure, DEFAULT_CAP, MatrixGroup,
+                     _field_for, build_group, expected_order, identity_perm,
+                     mat_identity, mat_mul, mat_rank, mat_sub, p_compose,
+                     perm_from_matrix, points, vec_index)
 
 
 def _vector_tables(F: FiniteField, n: int, cap: int):
@@ -108,9 +107,6 @@ class AffineGroup:
         self.cap = cap
         self._classes = None
 
-    def __len__(self):
-        return self.order
-
     def __repr__(self):
         return "AffineGroup(%s(%d,%d), order=%d)" % (
             self.family, self.n, self.q, self.order)
@@ -119,8 +115,7 @@ class AffineGroup:
 def build_affine(family: str, n: int, q: int, cap: int = DEFAULT_CAP) -> AffineGroup:
     """The affine extension of build_group(family, n, q), with the total
     size checked against the cap before any enumeration starts."""
-    F = _field_for(family, q)
-    total = expected_order(family, n, q) * F.size ** n
+    total = affine_order(family, n, q)
     if total > cap:
         raise CapExceeded("affine group order %d exceeds cap %d" % (total, cap))
     return AffineGroup(build_group(family, n, q, cap=cap), cap=cap)
@@ -159,7 +154,7 @@ def _commutator_cosets(group: MatrixGroup, add, neg):
     F, n = group.field, group.n
     pts = points(F, n)
     mv = len(pts)
-    basis = [F.size ** j for j in range(n)]
+    neg_basis = [neg[F.size ** j] for j in range(n)]
     spaces = [(0,)]
     ids = {(0,): 0}
     steps = {}
@@ -178,10 +173,10 @@ def _commutator_cosets(group: MatrixGroup, add, neg):
         return ids[key]
 
     sub_of = array("i", bytes(4 * group.order))
-    for i, p in enumerate(group.perms):
+    for i, key in enumerate(group.images):
         s = 0
-        for b in basis:
-            w = add[p[b] * mv + neg[b]]
+        for c, nb in zip(key, neg_basis):
+            w = add[c * mv + nb]
             step = s * mv + w
             t = steps.get(step)
             if t is None:
@@ -189,18 +184,20 @@ def _commutator_cosets(group: MatrixGroup, add, neg):
             s = t
         sub_of[i] = s
 
-    labels, cosets = [], []
-    for space in spaces:
-        label = [-1] * mv
-        reps = []
-        for v in range(mv):
-            if label[v] < 0:
-                reps.append(v)
-                for w in space:
-                    label[add[v * mv + w]] = v
-        labels.append(label)
-        cosets.append(reps)
+    labels, cosets = zip(*(_cosets(space, add, mv) for space in spaces))
     return sub_of, labels, cosets
+
+
+def _cosets(space, add, mv: int):
+    """The least member of every point's coset of the subspace space (a
+    list of its points), and those least members in ascending order."""
+    label, reps = [-1] * mv, []
+    for v in range(mv):
+        if label[v] < 0:
+            reps.append(v)
+            for w in space:
+                label[add[v * mv + w]] = v
+    return label, reps
 
 
 def _affine_classes(ag: AffineGroup) -> ClassDecomposition:
@@ -231,21 +228,19 @@ def count_classes(group) -> ClassDecomposition:
 # orbit sums: the class count of V x| G, one class of G at a time
 
 def centralizer_generators(group: MatrixGroup, gi: int, size: int):
-    """Generators of the centralizer C(g) of g = group.perms[gi], whose
-    class has size elements, by Schreier's lemma (Seress, Permutation Group
-    Algorithms, CUP 2003, ch. 4).
+    """Generators of the centralizer C(g) of g = group.elements[gi], whose
+    class has size elements, as point permutations, by Schreier's lemma.
 
     A central class (size 1) takes the generators of G.  Otherwise the class
     is walked breadth-first through group.conj_table(), keeping for each
-    reached x a pair (t_x, t_x^-1) with t_x g t_x^-1 = x: the edge from x
-    to a new y = h x h^-1 sets t_y = h t_x and t_y^-1 = t_x^-1 h^-1, with
-    h^-1 from group.gen_inverses().  An edge into a reached y gives the
-    Schreier generator t_y^-1 h t_x of C(g); it is kept when it lies outside
-    the subgroup the kept ones generate, which is then closed again.  Once
-    that subgroup has |G|/size elements the rest of the class is only
-    counted.  The walk must reach exactly size elements and the subgroup
-    exactly |G|/size elements, which makes the subgroup C(g); anything else
-    raises."""
+    reached x a pair (t_x, t_x^-1) with t_x g t_x^-1 = x: the edge from x to
+    a new y = h x h^-1 sets t_y = h t_x and t_y^-1 = t_x^-1 h^-1, with h^-1
+    from group.gen_inverses().  An edge into a reached y gives the Schreier
+    generator t_y^-1 h t_x, kept when it extends the Closure of those kept.
+    Once that has |G|/size elements the rest of the class is only counted.
+    The walk must reach exactly size elements and the subgroup exactly
+    |G|/size, which makes the subgroup C(g); anything else raises."""
+    F, n = group.field, group.n
     order = group.order
     gens = group.gen_perms
     conj = group.conj_table()
@@ -256,15 +251,14 @@ def centralizer_generators(group: MatrixGroup, gi: int, size: int):
         return gens
     target = order // size
     steps = list(zip(gens, group.gen_inverses(), offs))
-    mv = group.field.size ** group.n
-    ident = identity_perm(mv)
+    ident = identity_perm(F.size ** n)
     trans = {gi: (ident, ident)}
-    cgens, sub = [], {ident}
+    sub = Closure(F, n, target)
     seen = bytearray(order)
     seen[gi] = 1
     queue = [gi]
     for x in queue:  # the queue grows while it is read: breadth-first
-        tx, txinv = trans[x] if len(sub) < target else (None, None)
+        tx, txinv = trans[x] if len(sub.keys) < target else (None, None)
         for h, hinv, off in steps:
             y = conj[off + x]
             if not seen[y]:
@@ -274,16 +268,16 @@ def centralizer_generators(group: MatrixGroup, gi: int, size: int):
                     trans[y] = (p_compose(h, tx), p_compose(txinv, hinv))
             elif tx is not None:
                 s = p_compose(trans[y][1], p_compose(h, tx))
-                if s not in sub:
-                    cgens.append(s)
-                    sub = _perm_closure(cgens, mv, target)
-                    if len(sub) == target:
+                if sub.key_of(s) not in sub.index:
+                    sub.add(s)
+                    if len(sub.keys) == target:
                         tx = None
-    if len(queue) != size or len(sub) != target:
-        raise RuntimeError("class of element %d has %d elements and a "
-                           "centralizer subgroup of order %d; expected %d "
-                           "and %d" % (gi, len(queue), len(sub), size, target))
-    return cgens
+    if len(queue) != size or len(sub.keys) != target:
+        raise RuntimeError(
+            "class of element %d has %d elements and a centralizer subgroup "
+            "of order %d; expected %d and %d"
+            % (gi, len(queue), len(sub.keys), size, target))
+    return sub.gens
 
 
 def orbit_sum_check(group: MatrixGroup, cap: int = DEFAULT_CAP):
@@ -299,21 +293,12 @@ def orbit_sum_check(group: MatrixGroup, cap: int = DEFAULT_CAP):
     F, n = group.field, group.n
     mv = F.size ** n
     add, neg = _vector_tables(F, n, cap)
-    perms = group.perms
     dec = count_classes(group)
     out = []
     for gi, size in zip(dec.rep_indices, dec.sizes):
-        pg = perms[gi]
+        pg = perm_from_matrix(F, group.elements[gi], n)
         image = sorted({add[pg[x] * mv + neg[x]] for x in range(mv)})
-        # cosets of [g,V], labeled by their least member
-        label = array("i", [-1]) * mv
-        cosets = []
-        for v in range(mv):
-            if label[v] >= 0:
-                continue
-            cosets.append(v)
-            for w in image:
-                label[add[v * mv + w]] = v
+        label, cosets = _cosets(image, add, mv)
         cent = centralizer_generators(group, gi, size)
         seen = set()
         cnt = 0

@@ -124,9 +124,9 @@ class FiniteField:
         return "FiniteField(p=%d, degree=2, t^2+%d*t+%d=0)" % (self.p, c1, c0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def finite_field(p: int, degree: int = 1) -> FiniteField:
-    """Shared field instances."""
+    """Shared field instances, the 16 most recently asked for."""
     return FiniteField(p, degree)
 
 

@@ -1,15 +1,19 @@
 """Explicit classical matrix groups over small finite fields.
 
-Matrices are tuples of n*n field elements in row-major order.  Every group
-carries, for each element, the permutation it induces on the points of the
-natural module V = F^n; points are indexed by little-endian base-|F| digits,
-and points(F, n) lists their vectors in index order, so permutations and
-matrices are read off one table.  Permutations over at most 256 points are
-stored as 256-byte translation tables so composition runs through
-bytes.translate.
+Matrices are tuples of n*n field elements in row-major order.  Points of the
+natural module V = F^n are indexed by little-endian base-|F| digits, and
+points(F, n) lists their vectors in index order, so e_j has index |F|^j.
+An element g is kept as its basis images, the indices of g e_1, ..., g e_n
+(its columns).  Only generators carry their permutation of V, a 256-byte
+translation table up to 256 points and a tuple beyond, so the left product
+h g by a generator is n lookups in h's table (p_compose).
 
-Every group is built one way: the closure of a generator recipe, accepted
-only when it reaches the standard order formula (see build_group).
+Every group is built one way: one breadth-first Closure of a generator
+recipe, accepted only when it reaches the standard order formula (see
+build_group).  It records the left tables L_h[i] = index(h g_i) and a tree
+in which g_j = h_k g_parent(j); right products follow by the recurrence
+R_x[j] = index(g_j x) = L_k[R_x[parent(j)]] from R_x[identity] = index(x),
+so conjugation by h is i -> R_{h^-1}[L_h[i]] (MatrixGroup.conj_table).
 
 Forms are fixed once, in one model: B(x, y) = sum sigma(x_i) g_ij y_j with
 sigma the identity, or x -> x^p for a hermitian form, and for an
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
+from itertools import chain
 
 from ..primes import prime_power
 from .field import FiniteField, field_for_order, finite_field
@@ -153,23 +158,28 @@ def perm_from_matrix(F: FiniteField, mat: tuple, n: int):
     return tuple(out)
 
 
+def basis_images(F: FiniteField, mat: tuple, n: int):
+    """The point indices of the columns g e_1, ..., g e_n of mat: bytes up to
+    256 points, a tuple beyond."""
+    size = F.size
+    cols = [vec_index(mat[j::n], size) for j in range(n)]
+    return bytes(cols) if size ** n <= 256 else tuple(cols)
+
+
 def p_compose(a, b):
-    """The permutation x -> a[b[x]]."""
+    """The permutation x -> a[b[x]], or, for b the basis images of an
+    element g, those of the product a g: one bytes.translate up to 256
+    points, len(b) tuple lookups beyond."""
     if isinstance(a, bytes):
         return b.translate(a)
-    return tuple(a[x] for x in b)
+    return tuple(map(a.__getitem__, b))
 
 
 def p_invert(a):
-    if isinstance(a, bytes):
-        out = bytearray(256)
-        for i, ai in enumerate(a):
-            out[ai] = i
-        return bytes(out)
     out = [0] * len(a)
     for i, ai in enumerate(a):
         out[ai] = i
-    return tuple(out)
+    return bytes(out) if isinstance(a, bytes) else tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +358,13 @@ def _form_transvection(F: FiniteField, form: FormData, v: tuple, c: int) -> tupl
 def _recipe_candidates(family: str, F: FiniteField, n: int, form: FormData):
     cands = []
     if family in ("GL", "SL"):
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                for lam in range(1, F.size):
-                    m = list(mat_identity(n))
-                    m[i * n + j] = lam
-                    cands.append(tuple(m))
+        def unit(pos, lam):  # the identity with entry pos set to lam
+            return tuple(lam if k == pos else x
+                         for k, x in enumerate(mat_identity(n)))
+        cands = [unit(i * n + j, lam) for i in range(n) for j in range(n)
+                 if i != j for lam in range(1, F.size)]
         if family == "GL":
-            m = list(mat_identity(n))
-            m[0] = F.primitive()
-            cands.insert(0, tuple(m))
+            cands.insert(0, unit(0, F.primitive()))
         return cands
     if family == "Sp":
         # symplectic transvections x -> x + lam B(x, v) v
@@ -407,38 +412,61 @@ def _recipe_candidates(family: str, F: FiniteField, n: int, form: FormData):
     return cands
 
 
-def _perm_closure(gen_perms, mv: int, limit: int):
-    seen = {identity_perm(mv)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gen_perms:
-                prod = p_compose(g, h)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-                    if len(seen) > limit:
+class Closure:
+    """The group generated by point permutations, enumerated breadth-first on
+    basis images (Seress, Permutation Group Algorithms, CUP 2003, ch. 4):
+    keys[i] and index are element i's basis images and their inverse map,
+    element 0 is the identity, left[k][i] = index(gens[k] g_i), and element
+    j > 0 is gens[via[j]] times element parent[j] < j.  A generator added
+    later extends the closure without redoing it; passing limit raises."""
+
+    def __init__(self, F: FiniteField, n: int, limit: int):
+        ident = basis_images(F, mat_identity(n), n)
+        self.keys, self.index = [ident], {ident: 0}
+        self.parent, self.via = array("i", [-1]), array("i", [-1])
+        self.gens, self.left = [], []
+        self.limit = limit
+
+    def key_of(self, perm):
+        """The basis images of a point permutation."""
+        return p_compose(perm, self.keys[0])
+
+    def add(self, perm) -> None:
+        keys, index, left = self.keys, self.index, self.left
+        self.gens.append(perm)
+        left.append(array("i"))
+        steps = list(enumerate(zip(self.gens, left)))
+        for i, g in enumerate(keys):  # keys grows while it is read
+            for k, (h, table) in steps:
+                if len(table) > i:
+                    continue  # g was found before h was added
+                key = p_compose(h, g)
+                j = index.setdefault(key, len(keys))
+                if j == len(keys):
+                    if j == self.limit:
                         raise RuntimeError(
-                            "closure exceeded the expected order %d" % limit)
-        frontier = nxt
-    return seen
+                            "closure exceeded the expected order %d" % j)
+                    keys.append(key)
+                    self.parent.append(i)
+                    self.via.append(k)
+                table.append(j)
 
 
-def _greedy_generators(cand_perms, mv: int, expected: int):
-    """Pick a small generating subset, scanning candidates in order.  The
-    order is checked only after every candidate lies in the closure, so a
-    closure that reaches the expected order as a proper subgroup of what
-    the candidates generate raises instead of being accepted."""
-    gens, closure = [], {identity_perm(mv)}
-    for i, p in enumerate(cand_perms):
-        if p in closure:
-            continue
-        gens.append(i)
-        closure = _perm_closure([cand_perms[k] for k in gens], mv, expected)
-    if len(closure) != expected:
+def _greedy_generators(F: FiniteField, n: int, cands, expected: int):
+    """Pick a small generating subset of the candidate matrices in order: a
+    candidate whose basis images the closure lacks becomes a generator and
+    extends it.  The order is checked only once every candidate lies in the
+    closure, so a proper subgroup of what the candidates generate that
+    reaches the expected order raises.  Returns (generators, closure)."""
+    closure = Closure(F, n, expected)
+    gens = []
+    for m in cands:
+        if basis_images(F, m, n) not in closure.index:
+            gens.append(m)
+            closure.add(perm_from_matrix(F, m, n))
+    if len(closure.keys) != expected:
         raise RuntimeError("candidates generate a group of order %d, expected %d"
-                           % (len(closure), expected))
+                           % (len(closure.keys), expected))
     return gens, closure
 
 
@@ -446,30 +474,31 @@ def _greedy_generators(cand_perms, mv: int, expected: int):
 # the group object and its builders
 
 class MatrixGroup:
-    """An enumerated classical group with aligned matrix and permutation
-    views of every element, sorted by matrix."""
+    """An enumerated classical group, sorted by matrix: elements[i] is the
+    matrix of element i and images[i] its basis images; generators and
+    gen_perms are the generators as matrices and as point permutations.  The
+    closure that enumerated the group is kept until conj_table() reads it."""
 
-    def __init__(self, family, n, q, field, form, elements, perms, generators,
-                 gen_perms):
+    def __init__(self, family, n, q, field, form, generators, closure):
         self.family = family
         self.n = n
         self.q = q
         self.field = field
         self.form = form
-        self.elements = elements
-        self.perms = perms
+        # the columns of an element are the points of its basis images
+        pts, keys = points(field, n), closure.keys
+        mats = [tuple(chain.from_iterable(zip(*map(pts.__getitem__, key))))
+                for key in keys]
+        order = sorted(range(len(mats)), key=mats.__getitem__)
+        self.elements = [mats[i] for i in order]
+        self.images = [keys[i] for i in order]
         self.generators = generators
-        self.gen_perms = gen_perms
-        self.order = len(elements)
-        self._perm_index = None
+        self.gen_perms = closure.gens
+        self.order = len(order)
+        self._closure = (closure, order)
         self._gen_inverses = None
         self._conj_table = None
         self._classes = None
-
-    def perm_index(self) -> dict:
-        if self._perm_index is None:
-            self._perm_index = {p: i for i, p in enumerate(self.perms)}
-        return self._perm_index
 
     def gen_inverses(self) -> list:
         """The inverses of gen_perms, in the same order, inverted once."""
@@ -479,18 +508,23 @@ class MatrixGroup:
 
     def conj_table(self) -> array:
         """For each generator h in turn, the index map i -> index of
-        h g_i h^-1, all maps back to back (map k at offset k * order)."""
+        h g_i h^-1, all maps back to back (map k at offset k * order): in
+        closure labels R_{h^-1} o L_h, by the tree recurrence with h^-1 from
+        gen_inverses(), relabelled to the sorted order.  The closure is
+        dropped once read."""
         if self._conj_table is None:
-            idx = self.perm_index()
+            c, order = self._closure
+            lefts, parent, via = c.left, c.parent, c.via
+            pos = sorted(range(self.order), key=order.__getitem__)  # order^-1
             out = array("i")
-            for hp, hinv in zip(self.gen_perms, self.gen_inverses()):
-                out.extend(idx[p_compose(p_compose(hp, p), hinv)]
-                           for p in self.perms)
+            for left, hinv in zip(lefts, self.gen_inverses()):
+                right = [c.index[c.key_of(hinv)]] * self.order
+                for j, p, k in zip(range(1, self.order), parent[1:], via[1:]):
+                    right[j] = lefts[k][right[p]]
+                out.extend([pos[right[left[i]]] for i in order])
             self._conj_table = out
+            self._closure = None
         return self._conj_table
-
-    def __len__(self):
-        return self.order
 
     def __repr__(self):
         return "MatrixGroup(%s(%d,%d), order=%d)" % (
@@ -542,34 +576,15 @@ def build_group(family: str, n: int, q: int, cap: int = DEFAULT_CAP) -> MatrixGr
         raise CapExceeded("group order %d exceeds cap %d" % (expected, cap))
     mv = F.size ** n
     if mv > 256 and expected * mv > 32 * cap:
-        # up to 256 points an element is 256 bytes; beyond, it keeps |V|
-        # 8-byte point images, so allow the same cap * 256 bytes
+        # |G| |V| stays within 32 * cap, the budget of |V| point images per
+        # element; elements keep n basis images, so this bounds no allocation
         raise CapExceeded("group order %d on %d points stores %d point images, "
                           "over 32 * cap %d" % (expected, mv, expected * mv, cap))
 
     form = _resolve_form(family, F, n)
-    return _assemble(family, n, q, F, form, expected)
-
-
-def _assemble(family, n, q, F, form, expected) -> MatrixGroup:
-    size = F.size
     det1 = family in ("SL", "SU")
     cands = [m for m in _recipe_candidates(family, F, n, form)
              if preserves_form(F, form, m, n)
              and (not det1 or mat_det(F, m, n) == 1)]
-    cand_perms = [perm_from_matrix(F, m, n) for m in cands]
-    gen_pos, closure = _greedy_generators(cand_perms, size ** n, expected)
-    generators = [cands[i] for i in gen_pos]
-    gen_perms = [cand_perms[i] for i in gen_pos]
-    # column j of an element is the image of e_j, which has index size**j
-    pts = points(F, n)
-    basis = [size ** j for j in range(n)]
-    pairs = []
-    for p in closure:
-        cols = [pts[p[b]] for b in basis]
-        pairs.append((tuple(x for row in zip(*cols) for x in row), p))
-    pairs.sort(key=lambda t: t[0])
-    mats = [t[0] for t in pairs]
-    perms = [t[1] for t in pairs]
-    return MatrixGroup(family, n, q, F, form, mats, perms, generators, gen_perms)
-
+    return MatrixGroup(family, n, q, F, form,
+                       *_greedy_generators(F, n, cands, expected))

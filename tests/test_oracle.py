@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affineclasses.classcount import affine_series, ao_split
+from affineclasses.classcount import affine_series, ao_split, classical_series
 from affineclasses.oracle import (AffineGroup, CapExceeded, VERIFICATION_GRID,
                                   build_affine, build_group, count_classes,
                                   formula_check_o, orbit_sum_check)
@@ -23,13 +23,14 @@ from affineclasses.oracle import kernels as kernel_mod
 from affineclasses.oracle.engine import (centralizer_generators,
                                          unipotent_partition)
 from affineclasses.oracle.field import field_for_order, finite_field
-from affineclasses.oracle.groups import (_greedy_generators, _perm_closure,
-                                        expected_order, index_vec, mat_det,
-                                        mat_identity, mat_mul, mat_rank,
-                                        mat_vec, p_compose, p_invert,
+from affineclasses.oracle.groups import (Closure, _greedy_generators,
+                                        basis_images, expected_order,
+                                        index_vec, mat_det, mat_identity,
+                                        mat_mul, mat_rank, mat_vec, p_compose,
                                         perm_from_matrix, points,
                                         preserves_form, vec_index)
 from affineclasses.partitions import d_stat, enum_partitions
+from affineclasses.primes import is_prime
 
 
 def affine_count(family, characteristic, q, n):
@@ -90,6 +91,15 @@ class TestField:
             assert F.conj(F.conj(x)) == x
         for a in range(3):
             assert F.conj(F.embed(a)) == F.embed(a)
+
+    def test_field_cache_is_bounded(self):
+        bound = finite_field.cache_info().maxsize
+        assert bound is not None
+        primes = [p for p in range(2, 200) if is_prime(p)][:bound + 3]
+        for p in primes:
+            finite_field(p)
+        assert finite_field.cache_info().currsize == bound
+        assert finite_field(primes[-1]) is finite_field(primes[-1])
 
     def test_division_and_errors(self):
         F = finite_field(5, 1)
@@ -203,8 +213,15 @@ class TestBuildGroup:
         for family, q, step in [("GL", 3, 1), ("SL", 19, 40)]:
             g = build_group(family, 2, q)
             F, size = g.field, g.field.size
-            for m, p in zip(g.elements[::step], g.perms[::step]):
-                assert p == perm_from_matrix(F, m, 2)
+            basis = [index_vec(size ** j, size, 2) for j in range(2)]
+            assert g.gen_perms == [perm_from_matrix(F, m, 2)
+                                   for m in g.generators]
+            for m, key in zip(g.elements[::step], g.images[::step]):
+                assert list(key) == [vec_index(mat_vec(F, m, e, 2), size)
+                                     for e in basis]
+                p = perm_from_matrix(F, m, 2)
+                assert key == basis_images(F, m, 2)
+                assert key == Closure(F, 2, 1).key_of(p)
                 for x in range(size ** 2):
                     v = index_vec(x, size, 2)
                     assert p[x] == vec_index(mat_vec(F, m, v, 2), size)
@@ -248,9 +265,8 @@ class TestBuildGroup:
         # the first transvection alone closes to the expected order 2, but
         # the second lies outside that subgroup: GL(2,2) is not of order 2
         F = finite_field(2, 1)
-        cands = [perm_from_matrix(F, m, 2) for m in [(1, 1, 0, 1), (1, 0, 1, 1)]]
         with pytest.raises(RuntimeError):
-            _greedy_generators(cands, 4, 2)
+            _greedy_generators(F, 2, [(1, 1, 0, 1), (1, 0, 1, 1)], 2)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -365,6 +381,15 @@ class TestOracleGrid:
         ag = build_affine("Sp", 4, 3, cap=8_000_000)
         assert count_classes(ag).k == 58
 
+    def test_orthogonal_4_5_against_the_series(self):
+        # O+(4,5) and O-(4,5) act on 625 points (tuple permutations) with
+        # 28,800 and 31,200 elements; the sum and difference of their class
+        # counts are the u^4 coefficients of the O-sum and O-diff series
+        plus = count_classes(build_group("O+", 4, 5)).k
+        minus = count_classes(build_group("O-", 4, 5)).k
+        assert plus + minus == classical_series("O-sum", 5).coeff(4)
+        assert plus - minus == classical_series("O-diff", 5).coeff(4)
+
     @pytest.mark.skipif(os.environ.get("AFFINECLASSES_BIG") != "1",
                         reason="6.6M-element cell; set AFFINECLASSES_BIG=1")
     def test_asu42_big_cell(self):
@@ -468,12 +493,14 @@ class TestCentralizerGenerators:
     def test_generators_span_the_centralizer(self, family, dim, q):
         g = build_group(family, dim, q)
         dec = count_classes(g)
-        mv = g.field.size ** dim
         for gi, size in zip(dec.rep_indices, dec.sizes):
-            pg = g.perms[gi]
+            pg = perm_from_matrix(g.field, g.elements[gi], dim)
             gens = centralizer_generators(g, gi, size)
             assert all(p_compose(h, pg) == p_compose(pg, h) for h in gens)
-            assert len(_perm_closure(gens, mv, g.order)) == g.order // size
+            sub = Closure(g.field, dim, g.order)
+            for h in gens:
+                sub.add(h)
+            assert len(sub.keys) == g.order // size
             if size == 1:
                 assert gens == g.gen_perms
 
@@ -678,6 +705,25 @@ def reference_affine_classes(ag):
     return reps, sizes
 
 
+class TestConjugationTables:
+    @pytest.mark.parametrize("family,dim,q",
+                             VERIFICATION_GRID + (("SU", 3, 2), ("SL", 2, 19)))
+    def test_every_entry_from_matrix_products(self, family, dim, q):
+        # h g_i h^-1 by mat_mul, looked up in a dict built here; SL(2,19)
+        # has 361 points, so its basis images and generators are tuples
+        g = build_group(family, dim, q)
+        F, els = g.field, g.elements
+        index = {m: i for i, m in enumerate(els)}
+        conj = g.conj_table()
+        assert len(conj) == len(g.generators) * g.order
+        for k, h in enumerate(g.generators):
+            hinv = _mat_inverse(g, h)
+            off = k * g.order
+            for i, m in enumerate(els):
+                want = index[mat_mul(F, mat_mul(F, h, m, dim), hinv, dim)]
+                assert conj[off + i] == want
+
+
 class TestKernels:
     def test_backend_flag(self):
         assert kernel_mod.BACKEND == "pure"
@@ -731,8 +777,10 @@ def test_conjugation_stays_in_class(cell, seed):
     rng = random.Random(seed)
     i = rng.randrange(g.order)
     j = rng.randrange(g.order)
-    conj = p_compose(p_compose(g.perms[j], g.perms[i]), p_invert(g.perms[j]))
-    ci = g.perm_index()[conj]
+    F, els = g.field, g.elements
+    conj = mat_mul(F, mat_mul(F, els[j], els[i], n),
+                   _mat_inverse(g, els[j]), n)
+    ci = els.index(conj)
     for pos in range(dec.k):
         members = _class_members(g, pos)
         if i in members:
@@ -745,6 +793,12 @@ def test_conjugation_stays_in_class(cell, seed):
 _members_cache = {}
 
 
+def _mat_inverse(g, m):
+    """The inverse of m in g, found among its elements."""
+    ident = mat_identity(g.n)
+    return next(x for x in g.elements if mat_mul(g.field, m, x, g.n) == ident)
+
+
 def _class_members(g, pos):
     key = (id(g), pos)
     if key not in _members_cache:
@@ -752,11 +806,13 @@ def _class_members(g, pos):
         # closure of the representative under generator conjugation
         seen = {dec.rep_indices[pos]}
         stack = [dec.rep_indices[pos]]
-        idx = g.perm_index()
+        F, n, els = g.field, g.n, g.elements
+        idx = {m: i for i, m in enumerate(els)}
+        pairs = [(h, _mat_inverse(g, h)) for h in g.generators]
         while stack:
             e = stack.pop()
-            for hp in g.gen_perms:
-                c = idx[p_compose(p_compose(hp, g.perms[e]), p_invert(hp))]
+            for h, hinv in pairs:
+                c = idx[mat_mul(F, mat_mul(F, h, els[e], n), hinv, n)]
                 if c not in seen:
                     seen.add(c)
                     stack.append(c)
