@@ -479,8 +479,7 @@ def _const_ao_odd_sum():
     f = h * extra * poly
     rho = Fraction(7, 10)
     f_rho = _h_value_interval(rho) * ((1 + (q - 1) * rho) / (1 - rho * rho))
-    iv = _coefficient_sum(lambda j: Fraction(f.coeff(j)), q, 0,
-                          f_rho, rho, T)
+    iv = _coefficient_sum(f.coeff, q, 0, f_rho, rho, T)
     return 53, iv
 
 
@@ -491,8 +490,7 @@ def _const_o_classical(parity, claimed):
     T = 120 + parity
     h = _h_series(T)
     rho = Fraction(7, 10)
-    iv = _coefficient_sum(lambda j: Fraction(h.coeff(j)), q, parity,
-                          _h_value_interval(rho), rho, T)
+    iv = _coefficient_sum(h.coeff, q, parity, _h_value_interval(rho), rho, T)
     if parity:
         iv = iv * Fraction(1, 2)
     return claimed, iv

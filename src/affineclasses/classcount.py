@@ -90,10 +90,9 @@ def necklace_product(q, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
 
 def _to_int(x):
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise ValueError("expected an integer, got %s" % (f,))
-    return int(f)
+    if x != int(x):
+        raise ValueError("expected an integer, got %s" % (x,))
+    return int(x)
 
 
 def characteristic(q, ch: str = "") -> str:
@@ -224,13 +223,12 @@ def ao_split(sums, diffs) -> tuple:
             plus.append(t / 2)
             minus.append(u / 2)
             continue
-        p, m = Fraction(t, 2), Fraction(u, 2)
-        if p.denominator != 1 or m.denominator != 1:
+        if t % 2 or u % 2:
             raise ValueError("non-integer split at n=%d: indexing bug" % n)
-        if p < 0 or m < 0:
+        if t < 0 or u < 0:
             raise ValueError("negative count at n=%d: indexing bug" % n)
-        plus.append(int(p))
-        minus.append(int(m))
+        plus.append(t // 2)
+        minus.append(u // 2)
     return tuple(plus), tuple(minus)
 
 
@@ -400,8 +398,9 @@ def affine_recursive(family: str, q, n_max: int, ch: str = "") -> tuple:
     pbase, mbase = ao_split(osum, classical("O-diff"))
     plus, minus = [1], [0]
     if ch == "odd":
+        half = (q - 1) / 2 if symbolic else (q - 1) // 2  # q - 1 is even
         for n in range(1, n_max + 1):
-            cross = (q - 1) * osum[n - 1] * Fraction(1, 2)
+            cross = half * osum[n - 1]
             p2 = plus[n - 2] if n >= 2 else 0
             m2 = minus[n - 2] if n >= 2 else 0
             plus.append(pbase[n] + p2 + cross)

@@ -31,7 +31,7 @@ from .oracle import (CapExceeded, DEFAULT_CAP, VERIFICATION_GRID, AffineGroup,
                      affine_order, build_affine, build_group, count_classes,
                      formula_check_o, orbit_sum_check)
 from .partitions import IDENTITIES, KINDS, lemma_rhs, lemma_sum
-from .series import (QPOLY, Q, QPoly, FactorFamily, TruncatedSeries,
+from .series import (QPOLY, Q, RATIONAL, QPoly, FactorFamily, TruncatedSeries,
                      apply_product, evaluate_q, geometric)
 
 
@@ -258,9 +258,13 @@ def _case(name, expected, got):
             "expected": str(expected), "got": str(got)}
 
 
-def _series_case(name, lhs, rhs, order):
-    want = [rhs.coeff(n) for n in range(order + 1)]
-    return _case(name, want, lhs[: order + 1])
+def _coeffs(series):
+    """A series' coefficients as a case prints them: a rational series' as
+    Fractions, whether it holds ints or Fractions, so the report text does
+    not follow which coefficients the arithmetic kept as ints."""
+    if series.ring == RATIONAL:
+        return [Fraction(c) for c in series.coeffs]
+    return list(series.coeffs)
 
 
 def _pentagonal_coeffs(order):
@@ -282,14 +286,14 @@ def suite_identities(grid: str):
     order = 60
     pent = apply_product(TruncatedSeries.one(order=order), [FactorFamily(-1, 1)])
     cases.append(_case("identities/pentagonal-%d" % order,
-                       _pentagonal_coeffs(order), list(pent.coeffs)))
+                       _pentagonal_coeffs(order), _coeffs(pent)))
 
     order = 25 if full else 12
     lhs = necklace_product(Q, order)
     rhs = TruncatedSeries.from_coeffs([1, -1], QPOLY, order) \
         * geometric(Q, 1, QPOLY, order)
     cases.append(_case("identities/irreducible-product-symbolic",
-                       list(rhs.coeffs), list(lhs.coeffs)))
+                       _coeffs(rhs), _coeffs(lhs)))
 
     n_plain = 30 if full else 10
     n_signed = 14 if full else 6
@@ -298,10 +302,8 @@ def suite_identities(grid: str):
         sums.update(lemma_sum(kind, n_plain if kind == "plain" else n_signed))
     for ident in IDENTITIES:
         got = sums[ident]
-        n_max = len(got) - 1
-        rhs = lemma_rhs(ident, n_max)
-        cases.append(_series_case("identities/partition-%s" % ident,
-                                  got, rhs, n_max))
+        rhs = lemma_rhs(ident, len(got) - 1)
+        cases.append(_case("identities/partition-%s" % ident, _coeffs(rhs), got))
 
     order = 40
     qs = ((2, 4, 8, Q) if full else (2, Q))
@@ -310,7 +312,7 @@ def suite_identities(grid: str):
         a = classical_series("Sp", q, order, "even")
         b = sp_even_proof_form(q, order)
         cases.append(_case("identities/sp-even-forms-%s" % label,
-                           list(a.coeffs), list(b.coeffs)))
+                           _coeffs(a), _coeffs(b)))
     return cases
 
 
@@ -328,7 +330,7 @@ def suite_cross_method(grid: str):
                 rec = affine_recursive(family, q, n_max)
                 cases.append(_case(
                     "cross-method/%s-%s-q%d" % (family, ch, q),
-                    [series.coeff(n) for n in range(n_max + 1)], list(rec)))
+                    _coeffs(series), list(rec)))
     order = 25 if full else 12
     for family in AFFINE_FAMILIES:
         # the case names keep the odd-characteristic suffix of the families
@@ -337,7 +339,7 @@ def suite_cross_method(grid: str):
         total = orbit_built_series(family, Q, order).total()
         series = affine_series(family, Q, order)
         cases.append(_case("cross-method/orbit-%s-symbolic" % name,
-                           list(series.coeffs), list(total.coeffs)))
+                           _coeffs(series), _coeffs(total)))
     return cases
 
 

@@ -1,10 +1,10 @@
 """Exact truncated formal power series in one variable u.
 
-Two coefficient rings: plain rationals (Fraction) and QPoly, polynomials in a
-formal prime power q with rational coefficients.  A QPoly keeps integer
-numerators over one common denominator, so the q-polynomials that occur in
-the generating functions, nearly all with integer coefficients, are added and
-multiplied as ints.  Everything is exact; there is no floating point anywhere.
+Two coefficient rings: rationals, held as ints or Fractions, and QPoly,
+polynomials in a formal prime power q held as integer numerators over one
+common denominator.  So both rings compute on ints where they can: a rational
+coefficient stays an int unless a Fraction goes into it.  Everything is
+exact; a float is refused, never converted.
 Series keep a fixed truncation order and all binary operations truncate to
 the smaller order of the two operands.
 """
@@ -18,8 +18,6 @@ RATIONAL = "rational"
 QPOLY = "q-polynomial"
 
 DEFAULT_ORDER = 40
-
-_ZERO = Fraction(0)
 
 
 class QPoly:
@@ -57,7 +55,7 @@ class QPoly:
 
     def constant(self) -> Fraction:
         # constant term; for is_constant() polynomials this is the whole value
-        return Fraction(self.n[0], self.d) if self.n else _ZERO
+        return Fraction(self.n[0] if self.n else 0, self.d)
 
     def __bool__(self):
         return bool(self.n)
@@ -226,11 +224,12 @@ def evaluate_q(p, q0) -> Fraction:
 
 def _coerce(ring, x):
     if ring == RATIONAL:
-        if isinstance(x, QPoly):
-            if not x.is_constant():
-                raise TypeError("non-constant QPoly in a rational series")
+        # ints and Fractions pass unchanged; a float is refused, never converted
+        if isinstance(x, (int, Fraction)):
+            return x
+        if isinstance(x, QPoly) and x.is_constant():
             return x.constant()
-        return x if type(x) is Fraction else Fraction(x)
+        raise TypeError("a rational series holds ints and Fractions, not %r" % (x,))
     if ring == QPOLY:
         return _as_qpoly(x)
     raise ValueError("unknown ring %r" % (ring,))
@@ -240,14 +239,14 @@ def _ring_inv(ring, x):
     if ring == RATIONAL:
         if not x:
             raise ZeroDivisionError("constant term is not a unit")
-        return 1 / Fraction(x)
+        return x if x in (1, -1) else 1 / Fraction(x)
     if not (isinstance(x, QPoly) and x.is_constant() and x.constant()):
         raise ZeroDivisionError("constant term is not a unit")
     return QPoly(1 / x.constant())
 
 
 class TruncatedSeries:
-    """Power series in u truncated at a fixed order, exact coefficients."""
+    """Truncated power series in u; exact int/Fraction or QPoly coefficients."""
 
     __slots__ = ("ring", "order", "coeffs")
 
@@ -433,8 +432,9 @@ def pow_factor(c, j: int, exponent, ring=RATIONAL, order=DEFAULT_ORDER) -> Trunc
     out[0] = term
     k = 0
     while (k + 1) * j <= order:
-        # term_{k+1} = term_k * (e - k) * c / (k + 1)
-        term = term * (e - k) * c / (k + 1)
+        # term_k = binom(e, k) c^k is an int when e and c are: // is exact
+        term = term * (e - k) * c
+        term = term // (k + 1) if type(term) is int else term / (k + 1)
         k += 1
         out[k * j] = term
     return TruncatedSeries(ring, order, out)

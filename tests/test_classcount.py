@@ -31,6 +31,9 @@ from affineclasses.series import (
     geometric,
 )
 
+VALUE_QS = (2, 3, 4, 5, 7, 8, 9)
+
+
 def series_at(s, q0):
     """Specialize a symbolic-ring series at a numeric q."""
     vals = []
@@ -120,6 +123,30 @@ class TestNecklace:
                  - TruncatedSeries.monomial(1, 1, QPOLY, order))
                 * geometric(Q, 1, QPOLY, order))
         assert got == want
+
+    @pytest.mark.parametrize("q", VALUE_QS)
+    def test_product_telescopes_in_value_mode(self, q):
+        # (1-u)/(1-qu) = 1 + sum (q-1) q^(n-1) u^n; the exponents N(q;d) pass
+        # 2^53 well before n = 25, so a float anywhere in the product shows
+        got = necklace_product(q, 25)
+        assert list(got.coeffs) == [1] + [(q - 1) * q ** (n - 1) for n in range(1, 26)]
+
+
+class TestValueModeCoefficientsAreInts:
+    """With an int q every input of the value-mode series is an int, so every
+    coefficient must stay one: type(c) is int, never an integral Fraction."""
+
+    @pytest.mark.parametrize("q", VALUE_QS)
+    @pytest.mark.parametrize("family", ("GL", "GU", "Sp", "O-sum", "O-diff"))
+    def test_classical(self, family, q):
+        s = classical_series(family, q, 25)
+        assert [type(c) for c in s.coeffs] == [int] * 26
+
+    @pytest.mark.parametrize("q", VALUE_QS)
+    @pytest.mark.parametrize("family", AFFINE_FAMILIES)
+    def test_affine(self, family, q):
+        s = affine_series(family, q, 25)
+        assert [type(c) for c in s.coeffs] == [int] * 26
 
 
 class TestClassicalSeries:

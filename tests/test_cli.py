@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -291,6 +292,15 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "85bc411def59fd14d90f22137a385573725eb40686435573151eb685e83bc657")
 
+    def test_cross_method_json_pinned(self, capsys):
+        # like the identities pin: the expected side prints the series'
+        # coefficients, the got side the recursion's ints
+        code, out, _ = run(capsys, "verify", "--suite", "cross-method",
+                           "--grid", "small", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f4206e46f69a191352eb4c83dc4629ee3764c51fa217b4b6c7b5faed86961721")
+
     def test_json_to_stdout(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "cross-method",
                            "--grid", "small", "--format", "json")
@@ -314,6 +324,27 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--suite", "identities",
                            "--config", str(cfg))
         assert code == 2 and "grid" in err
+
+
+# ---------------------------------------------------------------------------
+# recorded outputs
+
+# the benchmark's recorded exit codes and stdout digests of the value-mode
+# commands: bounds, the cross-method suite and every numeric-q table
+REFERENCE = json.loads((Path(__file__).resolve().parent.parent
+                        / "perfbench" / "reference.json").read_text())["commands"]
+VALUE_MODE_COMMANDS = sorted(
+    c for c in REFERENCE
+    if c.startswith(("bounds ", "verify --suite cross-method "))
+    or (c.startswith("table ") and "--symbolic-q" not in c))
+
+
+@pytest.mark.parametrize("command", VALUE_MODE_COMMANDS)
+def test_reference_output(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    want = REFERENCE[command]
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        want["exit"], want["sha256"])
 
 
 # ---------------------------------------------------------------------------

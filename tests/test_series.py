@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +87,17 @@ class TestOps:
         aq = series([1, Q], QPOLY)
         bq = series([1, 1], QPOLY)
         assert (aq + bq) == series([2, Q + 1], QPOLY)
+
+    def test_rational_ring_refuses_floats(self):
+        with pytest.raises(TypeError):
+            TruncatedSeries.from_coeffs([0.5])
+        with pytest.raises(TypeError):
+            series([1, 2]) * 0.5
+
+    def test_a_coefficient_is_a_fraction_only_if_one_went_into_it(self):
+        s = series([1, 2], order=3) * series([1, 0, Fraction(1, 2)], order=3)
+        assert s.coeffs == (1, 2, Fraction(1, 2), 1)
+        assert [type(c) for c in s.coeffs] == [int, int, Fraction, Fraction]
 
     def test_add_ring_mismatch(self):
         with pytest.raises(TypeError):
@@ -175,6 +186,20 @@ class TestPowFactor:
         # (1 - u)^-2 = sum (k+1) u^k
         got = pow_factor(-1, 1, -2, order=6)
         assert [got.coeff(k) for k in range(7)] == [1, 2, 3, 4, 5, 6, 7]
+
+    @pytest.mark.parametrize("c", (1, -1, 3, -7))
+    @pytest.mark.parametrize("e", (0, 1, 5, -1, -4, 10 ** 20, -(3 ** 50)))
+    def test_int_exponent_gives_exact_binomials(self, e, c):
+        # generalized binomial binom(e, k) c^k, an int for every int e; the
+        # large exponents are far past the 53 bits a float keeps exactly
+        def binom(e, k):
+            return comb(e, k) if e >= 0 else (-1) ** k * comb(k - e - 1, k)
+        got = pow_factor(c, 2, e, order=24)
+        want = [0] * 25
+        for k in range(13):
+            want[2 * k] = binom(e, k) * c ** k
+        assert list(got.coeffs) == want
+        assert all(type(x) is int for x in got.coeffs)
 
     def test_qpoly_exponent(self):
         # (1-u)^-q at order 2: 1 + q u + q(q+1)/2 u^2
