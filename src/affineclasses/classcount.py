@@ -16,6 +16,11 @@ contradicts it is an error, and counts are validated to be integers.
 Passing the symbolic generator Q (a QPoly) as q gives symbolic mode, where
 ch picks the characteristic and defaults to odd.
 
+The closed forms and the orbit assembly are written in the vocabulary of
+the series module: a classical generating function is a product of
+FactorFamily rows (apply_product), and an affine one, or an orbit-count
+piece, is a weight (c, k, j) times such products (apply_weight).
+
 affine_counts reads table rows n = 0..n_max (row_index, row_dimension) off
 the closed-form series; recursion_counts and orbit_counts read the same rows
 off the other two routes, each from its own series.
@@ -36,7 +41,7 @@ from .series import (
     RATIONAL,
     TruncatedSeries,
     apply_product,
-    geometric,
+    apply_weight,
     pow_factor,
 )
 
@@ -168,43 +173,28 @@ def sp_even_proof_form(q, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 # affine generating functions
 
-def _mon(c, n, q, order):
-    return TruncatedSeries.monomial(c, n, _ring_for(q), order)
-
-
-def _geo(c, j, q, order):
-    return geometric(c, j, _ring_for(q), order)
-
-
 def affine_series(family: str, q, order: int = DEFAULT_ORDER,
                   ch: str = "") -> TruncatedSeries:
-    """Generating function of k(AG(n,q)) for an affine family."""
+    """Generating function of k(AG(n,q)) for an affine family: the sum over
+    rows (weight, classical family, extra factor families) of the weight
+    (see apply_weight) times the classical product times the extra ones."""
     ch = characteristic(q, ch)
-    if family not in AFFINE_FAMILIES:
+    odd = ch == "odd"
+    rows = {
+        "AGL": [(((1, 0, 1),), "GL", ())],
+        "AGU": [(((1, 0, 0), (q, 2, 2), (q - 1, 1, 2)), "GU", ())],
+        "ASp": [(((1, 0, 0), (q, 1, 1)), "Sp", ())] if odd else [
+            (((1, 0, 1),), "GU", _SP_EVEN_PROOF),
+            (((q - 1, 1, 1),), "GU", (FactorFamily(1, 2, -1, power=2),))],
+        "AO-sum": [(((1, 0, 0), (1, 2, 2), (q - 1, 1, 2)), "O-sum", ())] if odd else [
+            (((1, 0, 1),), "O-sum", ()), (((4 * (q - 1), 1, 1),), "Sp", ())],
+        "AO-diff": [(((1, 0, 2 if odd else 1),), "O-diff", ())],
+    }.get(family)
+    if rows is None:
         raise ValueError("%r is not an affine family" % (family,))
-    one = TruncatedSeries.one(_ring_for(q), order)
-    if family == "AGL":
-        return _geo(1, 1, q, order) * _classical("GL", ch, q, order)
-    if family == "AGU":
-        w = one + (_mon(q, 2, q, order) + _mon(q - 1, 1, q, order)) * _geo(1, 2, q, order)
-        return _classical("GU", ch, q, order) * w
-    if family == "ASp":
-        if ch == "odd":
-            w = one + _mon(q, 1, q, order) * _geo(1, 1, q, order)
-            return _classical("Sp", ch, q, order) * w
-        gu = _classical("GU", ch, q, order)
-        b = apply_product(gu, _SP_EVEN_PROOF)
-        c = apply_product(gu, [FactorFamily(1, 2, -1, power=2)])
-        return _geo(1, 1, q, order) * (b + _mon(q - 1, 1, q, order) * c)
-    if family == "AO-sum":
-        if ch == "odd":
-            w = one + (_mon(1, 2, q, order) + _mon(q - 1, 1, q, order)) * _geo(1, 2, q, order)
-            return _classical("O-sum", ch, q, order) * w
-        k_o = _classical("O-sum", ch, q, order)
-        k_sp = _classical("Sp", ch, q, order)
-        return _geo(1, 1, q, order) * (k_o + _mon(4 * (q - 1), 1, q, order) * k_sp)
-    # AO-diff
-    return _geo(1, 2 if ch == "odd" else 1, q, order) * _classical("O-diff", ch, q, order)
+    terms = [apply_weight(apply_product(_classical(fam, ch, q, order), extra), weight)
+             for weight, fam, extra in rows]
+    return sum(terms[1:], terms[0])
 
 
 # ---------------------------------------------------------------------------
@@ -314,37 +304,22 @@ def orbit_built_series(family: str, q, order: int = DEFAULT_ORDER,
     T1 is the classical class-count series.  T2 and T3 arise from the
     partition statistics in the orbit formulas; each equals the classical
     series with its unipotent factor swapped for a weighted one, which
-    collapses to multiplication by an explicit rational function of u.
+    collapses to T1 times a weight sum c u^k / (1 - u^j) (apply_weight).
     """
     ch = characteristic(q, ch)
     if family not in AFFINE_FAMILIES:
         raise ValueError("unknown orbit family %r" % (family,))
     if family not in ("AGL", "AGU") and ch != "odd":
         raise ValueError("orbit assembly of %s needs odd q" % family)
-    ring = _ring_for(q)
-    zero = TruncatedSeries.zero(ring, order)
     t1 = _classical(family[1:], ch, q, order)  # AGL -> GL, ..., AO-diff -> O-diff
-
-    if family == "AGL":
-        r2 = _mon(1, 1, q, order) * _geo(1, 1, q, order)
-        return OrbitPieces(family, t1, t1 * r2, zero)
-    if family == "AGU":
-        r2 = _mon(q, 1, q, order) * _geo(1, 1, q, order)
-        r3 = _mon(1, 1, q, order) * _geo(1, 2, q, order)
-        return OrbitPieces(family, t1, t1 * r2, t1 * r3)
-    if family == "ASp":
-        r2 = _mon(1, 1, q, order) * _geo(1, 2, q, order)
-        r3 = (_mon(q - 1, 1, q, order) * _geo(1, 1, q, order)
-              + _mon(1, 2, q, order) * _geo(1, 2, q, order))
-        return OrbitPieces(family, t1, t1 * r2, t1 * r3)
-    if family == "AO-sum":
-        r2 = _mon(1, 4, q, order) * _geo(1, 4, q, order)
-        r3 = (_mon(q - 1, 1, q, order) * _geo(1, 2, q, order)
-              + _mon(1, 2, q, order) * _geo(1, 4, q, order))
-        return OrbitPieces(family, t1, t1 * r2, t1 * r3)
-    r2 = _mon(1, 4, q, order) * _geo(1, 4, q, order)
-    r3 = _mon(1, 2, q, order) * _geo(1, 4, q, order)
-    return OrbitPieces(family, t1, t1 * r2, t1 * r3)
+    w2, w3 = {
+        "AGL": (((1, 1, 1),), ()),
+        "AGU": (((q, 1, 1),), ((1, 1, 2),)),
+        "ASp": (((1, 1, 2),), ((q - 1, 1, 1), (1, 2, 2))),
+        "AO-sum": (((1, 4, 4),), ((q - 1, 1, 2), (1, 2, 4))),
+        "AO-diff": (((1, 4, 4),), ((1, 2, 4),)),
+    }[family]
+    return OrbitPieces(family, t1, apply_weight(t1, w2), apply_weight(t1, w3))
 
 
 # ---------------------------------------------------------------------------

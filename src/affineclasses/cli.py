@@ -138,18 +138,20 @@ def _config_int(cfg, key):
 
 
 def resolve_cap(flag_value, cfg) -> int:
-    if flag_value is not None:
-        return flag_value
+    cap = flag_value
     env = os.environ.get(CAP_ENV, "").strip()
-    if env:
+    if cap is None and env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise UsageError("%s must be an integer, got %r" % (CAP_ENV, env))
-    from_cfg = _config_int(cfg, "cap")
-    if from_cfg is not None:
-        return from_cfg
-    return DEFAULT_CAP
+    if cap is None:
+        cap = _config_int(cfg, "cap")
+    if cap is None:
+        cap = DEFAULT_CAP
+    if cap < 1:
+        raise UsageError("the cap must be at least 1, got %d" % cap)
+    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -557,13 +559,13 @@ def cmd_oracle(args) -> int:
     cap = resolve_cap(args.cap, cfg)
     family = ORACLE_FAMILIES[args.family]
     try:
+        total_affine = affine_order(family, args.n, args.q, cap)
         base = build_group(family, args.n, args.q, cap=cap)
     except ValueError as e:
         raise UsageError(str(e))
     per_class, k_affine = orbit_sum_check(base, cap)
     dec = count_classes(base)
 
-    total_affine = base.order * base.field.size ** args.n
     direct = None
     if total_affine <= cap:
         direct = count_classes(AffineGroup(base, cap=cap)).k

@@ -28,18 +28,22 @@ from ..partitions import Partition, o_gl, o_gu
 from . import kernels
 from .field import FiniteField
 from .groups import (CapExceeded, Closure, DEFAULT_CAP, MatrixGroup,
-                     _field_for, build_group, expected_order, identity_perm,
+                     build_group, expected_order, field_order, identity_perm,
                      mat_identity, mat_mul, mat_rank, mat_sub, p_compose,
                      perm_from_matrix, points, vec_index)
 
 
-def _vector_tables(F: FiniteField, n: int, cap: int):
-    """Flat addition table add[a*mv+b] and negation table for the points
-    of F^n, once the |V|^2 addition table is checked against the cap."""
-    mv = F.size ** n
+def _check_table(mv: int, cap: int) -> None:
+    """Refuse the |V|^2 addition table of |V| = mv points over the cap."""
     if mv * mv > cap:
         raise CapExceeded("vector addition table of %d entries exceeds cap %d"
                           % (mv * mv, cap))
+
+
+def _vector_tables(F: FiniteField, n: int, cap: int):
+    """Flat addition table add[a*mv+b] and negation table for the points
+    of F^n, once the addition table is checked against the cap."""
+    _check_table(F.size ** n, cap)
     return _point_tables(F, n)
 
 
@@ -115,15 +119,20 @@ class AffineGroup:
 def build_affine(family: str, n: int, q: int, cap: int = DEFAULT_CAP) -> AffineGroup:
     """The affine extension of build_group(family, n, q), with the total
     size checked against the cap before any enumeration starts."""
-    total = affine_order(family, n, q)
+    total = affine_order(family, n, q, cap)
     if total > cap:
         raise CapExceeded("affine group order %d exceeds cap %d" % (total, cap))
     return AffineGroup(build_group(family, n, q, cap=cap), cap=cap)
 
 
-def affine_order(family: str, n: int, q: int) -> int:
-    """Order of the affine group without building anything."""
-    return expected_order(family, n, q) * _field_for(family, q).size ** n
+def affine_order(family: str, n: int, q: int, cap: int | None = None) -> int:
+    """Order of the affine group from integers alone, q checked first;
+    given a cap, the |V|^2 addition table of its class count is held to it
+    before any field or group is built."""
+    mv = field_order(family, q) ** n
+    if cap is not None:
+        _check_table(mv, cap)
+    return expected_order(family, n, q) * mv
 
 
 #: every affine cell that fits under the default cap: (family, dim, q)

@@ -132,7 +132,4 @@ def finite_field(p: int, degree: int = 1) -> FiniteField:
 
 def field_for_order(q: int) -> FiniteField:
     """The field with q elements, for q a prime or the square of a prime."""
-    p, k = prime_power(q)
-    if k > 2:
-        raise ValueError("q must be a prime or the square of a prime, got %r" % (q,))
-    return finite_field(p, k)
+    return finite_field(*prime_power(q))

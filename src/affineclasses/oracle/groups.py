@@ -38,7 +38,7 @@ from functools import lru_cache
 from itertools import chain
 
 from ..primes import prime_power
-from .field import FiniteField, field_for_order, finite_field
+from .field import FiniteField, field_for_order
 
 DEFAULT_CAP = 2_000_000
 
@@ -531,12 +531,17 @@ class MatrixGroup:
             self.family, self.n, self.q, self.order)
 
 
-def _field_for(family: str, q: int) -> FiniteField:
+def field_order(family: str, q: int) -> int:
+    """|F| for a family's groups over q, from q alone: q, a prime or the
+    square of one, or q^2 for the unitary groups, which need a prime q."""
+    k = prime_power(q)[1]
     if family in ("GU", "SU"):
-        if prime_power(q)[1] != 1:
+        if k != 1:
             raise ValueError("unitary groups need a prime q (field degree <= 2)")
-        return finite_field(q, 2)
-    return field_for_order(q)
+        return q * q
+    if k > 2:
+        raise ValueError("q must be a prime or the square of a prime, got %r" % (q,))
+    return q
 
 
 def _resolve_form(family: str, F: FiniteField, n: int) -> FormData:
@@ -565,22 +570,21 @@ def build_group(family: str, n: int, q: int, cap: int = DEFAULT_CAP) -> MatrixGr
     reaching the order formula proves it is the whole group.  The form, and
     with it the type of an orthogonal group, is fixed before the closure
     (see the module docstring); the closure is taken once, and a recipe or
-    form that misses the order raises.
+    form that misses the order raises.  q is checked, and |G| and |V| are
+    held to the cap, from integers before the field is built.
     """
     if family not in GROUP_FAMILIES:
         raise ValueError("unknown family %r (choose from %s)"
                          % (family, ", ".join(GROUP_FAMILIES)))
-    F = _field_for(family, q)
+    size = field_order(family, q)
     expected = expected_order(family, n, q)
     if expected > cap:
         raise CapExceeded("group order %d exceeds cap %d" % (expected, cap))
-    mv = F.size ** n
-    if mv > 256 and expected * mv > 32 * cap:
-        # |G| |V| stays within 32 * cap, the budget of |V| point images per
-        # element; elements keep n basis images, so this bounds no allocation
-        raise CapExceeded("group order %d on %d points stores %d point images, "
-                          "over 32 * cap %d" % (expected, mv, expected * mv, cap))
+    if size ** n > cap:
+        # the point table and each generator's permutation hold |V| entries
+        raise CapExceeded("%d points exceed cap %d" % (size ** n, cap))
 
+    F = field_for_order(size)
     form = _resolve_form(family, F, n)
     det1 = family in ("SL", "SU")
     cands = [m for m in _recipe_candidates(family, F, n, form)

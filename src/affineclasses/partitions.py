@@ -27,7 +27,7 @@ from .series import (
     RATIONAL,
     TruncatedSeries,
     apply_product,
-    geometric,
+    apply_weight,
 )
 
 PLUS = "+"
@@ -294,9 +294,5 @@ def lemma_sum(kind: str, n_max: int) -> dict:
 def lemma_rhs(identity: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Closed-form right sides of the partition identities, truncated."""
     kind, _, weight, symbolic = _identity(identity)
-    ring = QPOLY if symbolic else RATIONAL
-    w = TruncatedSeries.zero(ring, order)
-    for c, k, j in weight:
-        term = TruncatedSeries.monomial(c, k, ring, order)
-        w = w + (term * geometric(1, j, ring, order) if j else term)
-    return apply_product(w, _KINDS[kind][1])
+    one = TruncatedSeries.one(QPOLY if symbolic else RATIONAL, order)
+    return apply_product(apply_weight(one, weight), _KINDS[kind][1])

@@ -7,6 +7,10 @@ coefficient stays an int unless a Fraction goes into it.  Everything is
 exact; a float is refused, never converted.
 Series keep a fixed truncation order and all binary operations truncate to
 the smaller order of the two operands.
+
+The formula layer writes every generating function in one vocabulary:
+FactorFamily products, applied by apply_product, and weights
+sum c u^k / (1 - u^j), applied by apply_weight, both in place.
 """
 
 from __future__ import annotations
@@ -261,19 +265,8 @@ class TruncatedSeries:
         self.coeffs = coeffs
 
     @classmethod
-    def zero(cls, ring=RATIONAL, order=DEFAULT_ORDER):
-        return cls(ring, order, [0] * (order + 1))
-
-    @classmethod
     def one(cls, ring=RATIONAL, order=DEFAULT_ORDER):
-        return cls.monomial(1, 0, ring, order)
-
-    @classmethod
-    def monomial(cls, c, n, ring=RATIONAL, order=DEFAULT_ORDER):
-        coeffs = [0] * (order + 1)
-        if n <= order:
-            coeffs[n] = c
-        return cls(ring, order, coeffs)
+        return cls.from_coeffs([1], ring, order)
 
     @classmethod
     def from_coeffs(cls, coeffs, ring=RATIONAL, order=None):
@@ -415,6 +408,23 @@ def apply_product(base: TruncatedSeries, families) -> TruncatedSeries:
                 else:
                     _div_factor_inplace(coeffs, c, j, order)
     return TruncatedSeries(ring, order, coeffs)
+
+
+def apply_weight(base: TruncatedSeries, weight) -> TruncatedSeries:
+    """Multiply base by the weight sum c u^k / (1 - u^j) over its terms
+    (c, k, j), with j = 0 for a plain term c u^k: each term shifts and
+    scales base, then divides by 1 - u^j in place."""
+    order = base.order
+    ring = base.ring
+    zero = _coerce(ring, 0)
+    out = [zero] * (order + 1)
+    for c, k, j in weight:
+        c = _coerce(ring, c)
+        term = ([zero] * k + [c * x for x in base.coeffs])[:order + 1]
+        if j:
+            _div_factor_inplace(term, -1, j, order)
+        out = [x + y for x, y in zip(out, term)]
+    return TruncatedSeries(ring, order, out)
 
 
 def pow_factor(c, j: int, exponent, ring=RATIONAL, order=DEFAULT_ORDER) -> TruncatedSeries:

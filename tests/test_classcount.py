@@ -120,7 +120,7 @@ class TestNecklace:
         order = 25
         got = necklace_product(Q, order)
         want = ((TruncatedSeries.one(QPOLY, order)
-                 - TruncatedSeries.monomial(1, 1, QPOLY, order))
+                 - TruncatedSeries.from_coeffs([0, 1], QPOLY, order))
                 * geometric(Q, 1, QPOLY, order))
         assert got == want
 
@@ -317,10 +317,10 @@ class TestOrbitAssembly:
 
     def test_agl_t2_ratio(self):
         pieces = orbit_built_series("AGL", 2, 10)
-        ratio = (TruncatedSeries.monomial(1, 1, RATIONAL, 10)
+        ratio = (TruncatedSeries.from_coeffs([0, 1], RATIONAL, 10)
                  * geometric(1, 1, RATIONAL, 10))
         assert pieces.T2 == pieces.T1 * ratio
-        assert pieces.T3 == TruncatedSeries.zero(RATIONAL, 10)
+        assert pieces.T3 == TruncatedSeries.from_coeffs([], RATIONAL, 10)
 
     def test_agu_combination_subtracts_t3(self):
         pieces = orbit_built_series("AGU", 2, 6)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from affineclasses.cli import (CAP_ENV, CSV_COLUMNS, ORACLE_FAMILIES, SUITES,
                                TABLE_FAMILIES, main)
+from affineclasses.oracle import field as field_mod
 
 
 def run(capsys, *argv):
@@ -226,6 +227,24 @@ class TestConfigAndEnv:
         monkeypatch.setenv(CAP_ENV, "1000")
         assert run(capsys, *argv)[0] == 0       # env beats config
         assert run(capsys, *argv, "--cap", "10")[0] == 3  # flag beats env
+
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_1_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                          source, cap):
+        monkeypatch.delenv(CAP_ENV, raising=False)
+        argv = ["oracle", "--family", "agl", "--q", "2", "--n", "2"]
+        if source == "flag":
+            argv += ["--cap", cap]
+        elif source == "env":
+            monkeypatch.setenv(CAP_ENV, cap)
+        else:
+            cfg = tmp_path / "cfg"
+            cfg.write_text("cap = %s\n" % cap)
+            argv += ["--config", str(cfg)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: the cap must be at least 1, got %s\n" % cap
 
     def test_bad_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv(CAP_ENV, "many")
@@ -444,14 +463,18 @@ class TestOracle:
         ("oracle", "--family", "agl", "--q", "-4", "--n", "1"),
         ("oracle", "--family", "agu", "--q", "4", "--n", "1"),
         ("oracle", "--family", "agl", "--q", "8", "--n", "1"),   # degree 3
+        ("oracle", "--family", "asl", "--q", "1", "--n", "2"),   # |G| / (q - 1)
+        ("oracle", "--family", "asu", "--q", "-1", "--n", "1"),  # |G| / (q + 1)
     ])
     def test_exit_2(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error:")
 
     @pytest.mark.parametrize("cap,reason", [
-        ("2000", "point images"),           # 65,792 images of GL(1,257)
-        ("60000", "66049 entries"),         # its |V|^2 addition table
+        # GL(1,257) has 256 elements on 257 points, but its |V|^2 addition
+        # table has 66,049 entries, refused before any field is built
+        ("2000", "66049 entries"),
+        ("60000", "66049 entries"),
         ("66000", "66049 entries"),
     ])
     def test_allocations_checked_against_cap(self, capsys, cap, reason):
@@ -460,7 +483,7 @@ class TestOracle:
         assert code == 3 and reason in err
 
     def test_point_images_allowed_past_the_cap(self, capsys, monkeypatch):
-        # 6,840 x 361 point images exceed the default cap but fit 32 * cap
+        # 6,840 elements x 361 points exceed the default cap; each alone fits
         monkeypatch.delenv(CAP_ENV, raising=False)
         code, out, _ = run(capsys, "oracle", "--family", "asl", "--q", "19",
                            "--n", "2", "--format", "json")
@@ -478,6 +501,21 @@ class TestOracle:
                            "--n", "4")
         assert code == 3 and "cap" in err
 
+    @pytest.mark.parametrize("argv,reason", [
+        (("oracle", "--family", "agl", "--q", "1000003", "--n", "1"),
+         "exceeds cap 2000000"),
+        # |G| |V| = 1,017,072 fits, the 1,018,081-entry addition table not
+        (("table", "--family", "agl", "--q", "1009", "--n-max", "1",
+          "--methods", "oracle", "--cap", "1017500"), "1018081 entries"),
+    ])
+    def test_capped_without_a_field(self, capsys, monkeypatch, argv, reason):
+        def refuse(*args):
+            raise AssertionError("a field was built")
+        monkeypatch.setattr(field_mod.FiniteField, "__init__", refuse)
+        monkeypatch.delenv(CAP_ENV, raising=False)
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and reason in err
+
 
 # ---------------------------------------------------------------------------
 # any argv: an exit code, never a traceback
@@ -489,7 +527,7 @@ class TestOracle:
     st.tuples(st.just("table"), st.sampled_from(sorted(TABLE_FAMILIES)),
               st.just("--n-max"),
               st.sampled_from([None, "oracle", "closed-form,oracle"]))),
-    st.integers(-5, 30), st.integers(-1, 4), st.sampled_from([-1, 0, 50, 5000]))
+    st.integers(-5, 30), st.integers(-1, 4), st.sampled_from([-1, 0, 1, 50, 5000]))
 def test_any_argv_exits_cleanly(cmd, q, n, cap):
     command, family, n_flag, methods = cmd
     argv = [command, "--family", family, "--q", str(q), n_flag, str(n),

@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 from affineclasses.classcount import affine_series, ao_split, classical_series
 from affineclasses.oracle import (AffineGroup, CapExceeded, VERIFICATION_GRID,
-                                  build_affine, build_group, count_classes,
-                                  formula_check_o, orbit_sum_check)
+                                  affine_order, build_affine, build_group,
+                                  count_classes, formula_check_o,
+                                  orbit_sum_check)
+from affineclasses.oracle import field as field_mod
 from affineclasses.oracle import groups as groups_mod
 from affineclasses.oracle import kernels as kernel_mod
 from affineclasses.oracle.engine import (centralizer_generators,
@@ -289,8 +291,30 @@ class TestBuildGroup:
             build_affine("Sp", 4, 3)       # 4.2e6 > default cap
         with pytest.raises(CapExceeded):
             build_affine("GL", 2, 2, cap=20)
-        with pytest.raises(CapExceeded):
-            build_group("SU", 2, 17)       # 4896 elements x 83521 points
+        with pytest.raises(CapExceeded, match="83521 points"):
+            build_group("SU", 2, 17, cap=80_000)  # 4896 elements fit
+
+    def test_points_fit_the_cap(self):
+        # 120 elements on 625 points; the old rule refused |G| |V| > 32 cap
+        assert count_classes(build_group("SU", 2, 5, cap=1000)).k == 9
+
+    def test_large_prime_capped_without_a_field(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a field was built")
+        monkeypatch.setattr(field_mod.FiniteField, "__init__", refuse)
+        assert affine_order("GL", 1, 1_000_003) == 1_000_002 * 1_000_003
+        with pytest.raises(CapExceeded, match="points"):
+            build_group("GL", 1, 1_000_003, cap=1_000_002)
+        with pytest.raises(CapExceeded, match="%d points" % 1_000_003 ** 2):
+            build_group("GU", 1, 1_000_003)  # q + 1 elements fit
+        with pytest.raises(CapExceeded, match="1018081 entries"):
+            build_affine("GL", 1, 1009, cap=1_017_500)  # |G| |V| fits
+
+    @pytest.mark.parametrize("family,n,q", [("SL", 2, 1), ("SU", 1, -1)])
+    def test_affine_order_checks_q_first(self, family, n, q):
+        # the order formulas divide by q - 1 and q + 1
+        with pytest.raises(ValueError):
+            affine_order(family, n, q)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from affineclasses.series import (
     RATIONAL,
     TruncatedSeries,
     apply_product,
+    apply_weight,
     evaluate_q,
     geometric,
     pow_factor,
@@ -82,7 +84,7 @@ class TestOps:
         a = series([1, 1])
         b = series([1, -1])
         assert (a + b) == series([2])
-        z = TruncatedSeries.zero(order=8)
+        z = series([])
         assert a + z == a
         aq = series([1, Q], QPOLY)
         bq = series([1, 1], QPOLY)
@@ -169,6 +171,60 @@ class TestApplyProduct:
             FactorFamily(-1, 0)
         with pytest.raises(ValueError):
             FactorFamily(-1, 2, -2)  # step + offset = 0
+
+
+def _weight_by_products(base, weight):
+    """base times the weight, built the way apply_weight replaces: each term
+    a monomial c u^k, times geometric(1, j) unless j = 0."""
+    ring, order = base.ring, base.order
+    w = series([], ring, order)
+    for c, k, j in weight:
+        term = series([0] * k + [c], ring, order)
+        w = w + (term * geometric(1, j, ring, order) if j else term)
+    return base * w
+
+
+def _random_weight(rng, ring, order):
+    """One to three random terms, plus a plain term (j = 0) and a term past
+    the truncation order (k > order)."""
+    if ring == QPOLY:
+        coeff = lambda: rng.choice((Q, Q - 1, -Q, 2, QPoly((1, -3, 2)) / 5))
+    else:
+        coeff = lambda: rng.choice((1, -1, 2, 7, -12))
+    terms = [(coeff(), rng.randrange(order + 2), rng.randrange(6))
+             for _ in range(rng.randrange(1, 4))]
+    terms += [(coeff(), rng.randrange(order), 0), (coeff(), order + 3, 2)]
+    rng.shuffle(terms)
+    return tuple(terms)
+
+
+class TestApplyWeight:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("ring", (RATIONAL, QPOLY))
+    def test_matches_monomial_times_geometric(self, ring, seed):
+        rng = Random(seed)
+        order = rng.randrange(1, 16)
+        if ring == QPOLY:
+            coeffs = [QPoly([rng.randrange(-3, 4) for _ in range(3)])
+                      for _ in range(order + 1)]
+        else:
+            coeffs = [rng.randrange(-9, 10) for _ in range(order + 1)]
+        base = series(coeffs, ring, order)
+        weight = _random_weight(rng, ring, order)
+        assert apply_weight(base, weight) == _weight_by_products(base, weight)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_int_inputs_give_int_coefficients(self, seed):
+        rng = Random(seed)
+        base = series([rng.randrange(-9, 10) for _ in range(13)], order=12)
+        got = apply_weight(base, _random_weight(rng, RATIONAL, 12))
+        assert all(type(x) is int for x in got.coeffs)
+
+    def test_geometric_and_plain_terms(self):
+        # 1 + 3u^2/(1 - u^2) = 1 + 3u^2 + 3u^4 + ..., and 5u^9 truncates away
+        got = apply_weight(ONE(order=6), ((1, 0, 0), (3, 2, 2), (5, 9, 1)))
+        assert got == series([1, 0, 3, 0, 3, 0, 3], order=6)
+        assert apply_weight(ONE(order=6), ()) == series([], order=6)
 
 
 class TestPowFactor:
