@@ -149,7 +149,11 @@ _CLASSICAL = {
 _SP_EVEN_PROOF = (FactorFamily(-1, 4, -2, power=-2),)
 
 
+@lru_cache(maxsize=64)
 def _classical(family, ch, q, order):
+    """The classical product of (family, ch) at q, built once per key and
+    shared by the three routes; its coefficients are a tuple, so a cached
+    series cannot change under its users."""
     unipotent, step = _CLASSICAL[family, ch]
     return apply_product(TruncatedSeries.one(_ring_for(q), order),
                          unipotent + (FactorFamily(-q, step, power=-1),))

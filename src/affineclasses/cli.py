@@ -182,6 +182,17 @@ def oracle_values(fam: str, q: int, n_max: int, cap: int):
     return out
 
 
+def _check_series_cap(n_max: int, odd_orthogonal: bool, cap: int):
+    """Refuse, from integers and before any series is built, a run whose
+    longest series would hold more coefficients than the cap.  A series of
+    order N holds N + 1; the longest order is n_max, or 2 n_max + 1 for the
+    orthogonal families in odd characteristic, indexed by dimension."""
+    longest = 2 * n_max + 2 if odd_orthogonal else n_max + 1
+    if longest > cap:
+        raise CapExceeded("n_max %d needs a series of %d coefficients, which "
+                          "exceeds cap %d" % (n_max, longest, cap))
+
+
 def _route_values(method, fam, ch, q, n_max, cap):
     if method == "closed-form":
         return affine_counts(fam, q, n_max, ch)[1:]
@@ -234,6 +245,8 @@ def cmd_table(args) -> int:
                 methods.append("orbit-assembly")
 
         cap = resolve_cap(args.cap, cfg)
+        if methods != ["oracle"]:
+            _check_series_cap(n_max, fam.startswith("ao") and ch == "odd", cap)
         records = []
         for method in methods:
             values = _route_values(method, fam, ch, q, n_max, cap)
@@ -474,12 +487,15 @@ def _parse_q_set(text):
 
 
 def cmd_bounds(args) -> int:
-    load_config(args.config)  # validated for consistency; bounds take no defaults from it
+    cfg = load_config(args.config)  # bounds take only the cap from it
     q_set = _parse_q_set(args.q_set)
     if args.n_max < 1:
         raise UsageError("--n-max must be at least 1")
 
     try:
+        # every q is checked first; the orthogonal specs run at each odd one
+        chars = {characteristic(q) for q in q_set}
+        _check_series_cap(args.n_max, "odd" in chars, resolve_cap(None, cfg))
         reports = bounds_mod.check_all_bounds(q_set, args.n_max)
         ah = bounds_mod.check_ah_theorem(q_set, args.n_max)
     except ValueError as e:
@@ -633,7 +649,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods",
                    help="comma list from closed-form,recursion,orbit-assembly,oracle")
     p.add_argument("--format", choices=("csv", "json", "md"))
-    p.add_argument("--cap", type=int, help="element cap for the oracle route")
+    p.add_argument("--cap", type=int,
+                   help="cap on oracle elements and points and on series length")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", parents=[common],

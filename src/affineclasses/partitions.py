@@ -7,16 +7,24 @@ parity: the signed sizes are the even ones for the symplectic family (parity
 0) and the odd ones for the orthogonal family (parity 1).  The o_* functions
 give, per class, the number of orbits of the centralizer on the quotient of
 the natural module by its twisted image; summing them over all classes counts
-the classes of the affine group.
+the classes of the affine group.  A signed part size enters those counts
+through its weight class: q, q - 1 or (q - 1)/2 by its multiplicity and
+sign (_weight_class, _WEIGHTS).
 
 The partition identities are one table: each names the kind of partition it
 sums over, the statistic summed on the left, and the weight that multiplies
-the kind's product on the right.
+the kind's product on the right.  The left sides are brute-force counts in
+ints: lemma_sum walks every multiplicity vector and every sign choice and
+tallies, per degree, the partitions, their unsigned part sizes and their
+signed part sizes in each weight class; a statistic reads those tallies, and
+a symbolic one is a single q-polynomial per degree built from them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
+from operator import itemgetter
 
 from .series import (
     DEFAULT_ORDER,
@@ -104,54 +112,30 @@ class SignedPartition:
         return "SignedPartition(%r, %r, %d)" % (self.mult, self.signs, self.parity)
 
 
-def _mult_vectors(total, largest, step_ok):
-    """Yield multiplicity dicts for partitions of `total` with parts <= largest,
-    multiplicities constrained by step_ok(part, mult).  Largest part first, so
-    the output is ordered lexicographically by largest part, descending."""
-    if total == 0:
-        yield {}
+def _mult_vectors(total, largest, allowed, vec=None):
+    """Walk the partitions of `total` with parts <= largest whose
+    multiplicities pass allowed(part, mult), largest part first.  Each is
+    yielded as one list of (part size, multiplicity) pairs that the walk
+    reuses, so read it before asking for the next."""
+    if vec is None:
+        vec = []
+    if not total:
+        yield vec
         return
-    for i in range(min(largest, total), 0, -1):
+    for i in range(min(largest, total), 1, -1):
         for a in range(total // i, 0, -1):
-            if not step_ok(i, a):
-                continue
-            for rest in _mult_vectors(total - i * a, i - 1, step_ok):
-                out = {i: a}
-                out.update(rest)
-                yield out
-
-
-def enum_partitions(n: int):
-    """All partitions of n, ordered by largest part descending."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return [Partition(m) for m in _mult_vectors(n, n, lambda i, a: True)]
-
-
-def _sign_choices(sizes):
-    # deterministic: sizes descending, '+' before '-'
-    if not sizes:
-        yield {}
-        return
-    head, tail = sizes[0], sizes[1:]
-    for s in (PLUS, MINUS):
-        for rest in _sign_choices(tail):
-            out = {head: s}
-            out.update(rest)
-            yield out
-
-
-def enum_signed(size: int, parity: int):
-    """Signed partitions of the given total size: parity 0 for the
-    symplectic family (the size must be even), 1 for the orthogonal one."""
-    if size < 0 or (parity == 0 and size % 2):
-        raise ValueError("size must be >= 0, and even for parity 0")
-    out = []
-    for m in _mult_vectors(size, size, lambda i, a: i % 2 == parity or a % 2 == 0):
-        signed_sizes = sorted((i for i in m if i % 2 == parity), reverse=True)
-        out.extend(SignedPartition(m, signs, parity)
-                   for signs in _sign_choices(signed_sizes))
-    return out
+            if allowed(i, a):
+                vec.append((i, a))
+                rest = total - i * a
+                if rest:
+                    yield from _mult_vectors(rest, i - 1, allowed, vec)
+                else:
+                    yield vec
+                vec.pop()
+    if largest and allowed(1, total):  # parts of size 1 take what is left
+        vec.append((1, total))
+        yield vec
+        vec.pop()
 
 
 def d_stat(lam) -> int:
@@ -181,17 +165,33 @@ def _check_odd_q(q):
         raise ValueError("this formula needs odd q")
 
 
+#: the weight of a signed part size in the orbit-count formulas, by weight
+#: class: q, q - 1 and (q - 1)/2 (see _weight_class)
+_WEIGHTS = (
+    lambda q: q,
+    lambda q: q - 1,
+    lambda q: (q - 1) / 2 if isinstance(q, QPoly) else (q - 1) // 2,
+)
+
+
+def _weight_class(a_i: int, eps) -> int:
+    """The weight class of a signed part size of multiplicity a_i and sign
+    eps: 0 (weight q) above multiplicity 2 or at 2 with sign +, 1 (q - 1)
+    at 2 with sign -, 2 ((q - 1)/2) at multiplicity 1."""
+    if a_i > 2 or (a_i == 2 and eps == PLUS):
+        return 0
+    if a_i == 2:
+        return 1
+    if a_i == 1:
+        return 2
+    raise ValueError("a_i must be >= 1")
+
+
 def sp_f(a_i: int, eps, q):
     """The weight of a signed part size of multiplicity a_i and sign eps in
     the orbit-count formulas; the size itself does not enter."""
     _check_odd_q(q)
-    if a_i > 2:
-        return q * 1
-    if a_i == 2:
-        return q * 1 if eps == PLUS else q - 1
-    if a_i == 1:
-        return (q - 1) / 2 if isinstance(q, QPoly) else (q - 1) // 2
-    raise ValueError("a_i must be >= 1")
+    return _WEIGHTS[_weight_class(a_i, eps)](q)
 
 
 def _unsigned_sizes(lam: SignedPartition) -> int:
@@ -218,39 +218,76 @@ def o_signed(lam: SignedPartition, q):
 # ---------------------------------------------------------------------------
 # brute-force sums over (signed) partitions against closed-form series
 
-#: the partitions an identity sums over, by kind: the enumerator of those
-#: at u-degree n (plain and orthogonal ones by size, symplectic ones by half
-#: their size) and the product that their counts generate
+#: the partitions an identity sums over, by kind: the partition size at
+#: u-degree n as a multiple of n (symplectic ones have size 2n), the parity
+#: of the signed part sizes (None: no size is signed), and the product that
+#: their counts generate
 _KINDS = {
-    "plain": (enum_partitions, (FactorFamily(-1, 1, power=-1),)),
-    "Sp": (lambda n: enum_signed(2 * n, 0), (
+    "plain": (1, None, (FactorFamily(-1, 1, power=-1),)),
+    "Sp": (2, 0, (
         FactorFamily(-1, 2, -1, power=-1),
         FactorFamily(1, 1),
         FactorFamily(-1, 1, power=-1),
     )),
-    "O": (lambda n: enum_signed(n, 1), (
+    "O": (1, 1, (
         FactorFamily(-1, 4, power=-1),
         FactorFamily(1, 2, -1),
         FactorFamily(-1, 2, -1, power=-1),
     )),
 }
 
-#: identity -> (kind, statistic summed over the kind's partitions on the
-#: left, weight on the right).  The weight is a tuple of terms (c, k, j) of
-#: sum c u^k / (1 - u^j), with j = 0 for a plain c u^k, and the right side
-#: is the weight times the kind's product.  The identities whose weight is
-#: a polynomial in q are symbolic, and so is their statistic.
+#: the columns of a tally (see _tally); the signed part sizes per weight
+#: class follow them
+_PARTS, _UNSIGNED, _SINGLE, _CLASSES = 0, 1, 2, 3
+
+
+def _tally(size: int, parity) -> list:
+    """Ints summed over the partitions of `size`, a signed partition once
+    for every sign choice on its part sizes of the signed parity: the
+    partitions, their unsigned part sizes, those of multiplicity 1, then
+    their signed part sizes in each weight class."""
+    out = [0] * (_CLASSES + len(_WEIGHTS))
+
+    def allowed(i, a):
+        return parity is None or i % 2 == parity or a % 2 == 0
+
+    for vec in _mult_vectors(size, size, allowed):
+        classes = [(_weight_class(a, PLUS), _weight_class(a, MINUS))
+                   for i, a in vec if i % 2 == parity]
+        unsigned = len(vec) - len(classes)
+        single = sum(1 for i, a in vec if a == 1 and i % 2 != parity)
+        for choice in product(*classes):
+            out[_PARTS] += 1
+            out[_UNSIGNED] += unsigned
+            out[_SINGLE] += single
+            for c in choice:
+                out[_CLASSES + c] += 1
+    return out
+
+
+def _weighted(t: list):
+    """The symbolic statistic: the weights of the signed part sizes,
+    summed from their tally per weight class into one q-polynomial."""
+    return sum(c * w(Q) for c, w in zip(t[_CLASSES:], _WEIGHTS))
+
+
+#: identity -> (kind, statistic on the left, weight on the right).  The
+#: statistic reads the tally of the kind's partitions at one degree; the
+#: weight is a tuple of terms (c, k, j) of sum c u^k / (1 - u^j), with
+#: j = 0 for a plain c u^k, and the right side is the weight times the
+#: kind's product.  The identities whose weight is a polynomial in q are
+#: symbolic, and so is their statistic.
 _TABLE = {
-    "distinct": ("plain", o_gl, ((1, 0, 1),)),
-    "genfunU-1": ("plain", lambda lam: 1, ((1, 0, 0),)),
-    "genfunU-2": ("plain", d_stat, ((1, 1, 1),)),
-    "genfunU-3": ("plain", b_stat, ((1, 1, 2),)),
-    "genfun-1": ("Sp", lambda lam: 1, ((1, 0, 0),)),
-    "genfun-2": ("Sp", _unsigned_sizes, ((1, 1, 2),)),
-    "genfun-3": ("Sp", lambda lam: _f_sum(lam, Q), ((Q - 1, 1, 1), (1, 2, 2))),
-    "genfunO-1": ("O", lambda lam: 1, ((1, 0, 0),)),
-    "genfunO-2": ("O", _unsigned_sizes, ((1, 4, 4),)),
-    "genfunO-3": ("O", lambda lam: _f_sum(lam, Q), ((Q - 1, 1, 2), (1, 2, 4))),
+    "distinct": ("plain", lambda t: t[_PARTS] + t[_UNSIGNED], ((1, 0, 1),)),
+    "genfunU-1": ("plain", itemgetter(_PARTS), ((1, 0, 0),)),
+    "genfunU-2": ("plain", itemgetter(_UNSIGNED), ((1, 1, 1),)),
+    "genfunU-3": ("plain", itemgetter(_SINGLE), ((1, 1, 2),)),
+    "genfun-1": ("Sp", itemgetter(_PARTS), ((1, 0, 0),)),
+    "genfun-2": ("Sp", itemgetter(_UNSIGNED), ((1, 1, 2),)),
+    "genfun-3": ("Sp", _weighted, ((Q - 1, 1, 1), (1, 2, 2))),
+    "genfunO-1": ("O", itemgetter(_PARTS), ((1, 0, 0),)),
+    "genfunO-2": ("O", itemgetter(_UNSIGNED), ((1, 4, 4),)),
+    "genfunO-3": ("O", _weighted, ((Q - 1, 1, 2), (1, 2, 4))),
 }
 
 IDENTITIES = tuple(_TABLE)
@@ -267,27 +304,24 @@ def _identity(identity: str):
 
 def lemma_sum(kind: str, n_max: int) -> dict:
     """Left sides of the partition identities of one kind, by direct
-    enumeration.
+    enumeration in ints.
 
-    For each n = 0..n_max the kind's partitions at u-degree n are
-    enumerated once, and every identity of that kind sums its statistic
-    over them.  Returns {identity: coefficient list for n = 0..n_max}, in
-    table order, with ints, or QPolys for the symbolic identities.
+    For each n = 0..n_max the kind's partitions at u-degree n are walked
+    once, every sign choice of a signed one included, and tallied (_tally);
+    every identity of that kind reads its statistic off the tally.  Nothing
+    of degree n is kept but its tally.  Returns {identity: coefficient list
+    for n = 0..n_max}, in table order, with ints, or one QPoly per degree
+    for the symbolic identities.
     """
     if kind not in _KINDS:
         raise ValueError("unknown partition kind %r" % (kind,))
-    enum = _KINDS[kind][0]
-    rows = {}
-    for name in IDENTITIES:
-        k, stat, _, symbolic = _identity(name)
-        if k == kind:
-            rows[name] = (stat, QPoly(0) if symbolic else 0, [])
+    scale, parity, _ = _KINDS[kind]
+    rows = {name: (stat, []) for name, (k, stat, _) in _TABLE.items() if k == kind}
     for n in range(n_max + 1):
-        parts = enum(n)
-        for stat, start, sums in rows.values():
-            sums.append(sum(map(stat, parts), start))
-        del parts  # free degree n's partitions before degree n + 1's are built
-    return {name: sums for name, (_, _, sums) in rows.items()}
+        t = _tally(scale * n, parity)
+        for stat, sums in rows.values():
+            sums.append(stat(t))
+    return {name: sums for name, (_, sums) in rows.items()}
 
 
 @lru_cache(maxsize=None)
@@ -295,4 +329,4 @@ def lemma_rhs(identity: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Closed-form right sides of the partition identities, truncated."""
     kind, _, weight, symbolic = _identity(identity)
     one = TruncatedSeries.one(QPOLY if symbolic else RATIONAL, order)
-    return apply_product(apply_weight(one, weight), _KINDS[kind][1])
+    return apply_product(apply_weight(one, weight), _KINDS[kind][2])

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from affineclasses import classcount
 from affineclasses.classcount import (
     AFFINE_FAMILIES,
     TABLE_FAMILIES,
@@ -16,6 +17,8 @@ from affineclasses.classcount import (
     necklace,
     necklace_product,
     orbit_built_series,
+    orbit_counts,
+    recursion_counts,
     row_dimension,
     row_index,
     sp_even_proof_form,
@@ -368,6 +371,64 @@ class TestRecursions:
     def test_rejects_classical(self):
         with pytest.raises(ValueError):
             affine_recursive("GL", 3, 4)
+
+
+def _clear_series_caches():
+    classcount._closed_form.cache_clear()
+    classcount._classical.cache_clear()
+
+
+def _run_routes(family, q, n_max, ch=""):
+    """The three table routes, as `table` runs them by default."""
+    affine_counts(family, q, n_max, ch)
+    recursion_counts(family, q, n_max, ch)
+    if family in ("agl", "agu") or characteristic(q, ch) == "odd":
+        orbit_counts(family, q, n_max, ch)
+
+
+def _typed(series):
+    return series.ring, series.order, [(type(c), c) for c in series.coeffs]
+
+
+class TestClassicalCache:
+    """One classical product per (family, ch, q, order), shared by the
+    three routes."""
+
+    def test_bounded(self):
+        assert classcount._classical.cache_info().maxsize == 64
+
+    def test_symbolic_ao_plus_table(self):
+        # O-sum and O-diff are built once each; the closed form's second
+        # use, the recursions and the orbit assembly read them six times
+        _clear_series_caches()
+        _run_routes("ao-plus", Q, 10)
+        info = classcount._classical.cache_info()
+        assert (info.hits, info.misses) == (6, 2)
+
+    def test_cached_series_equal_fresh_builds(self):
+        _clear_series_caches()
+        n_max = 6
+        cells = [(3, ""), (4, ""), (Q, "odd"), (Q, "even")]
+        for family in TABLE_FAMILIES:
+            for q, ch in cells:
+                if family != "ao-odd" or characteristic(q, ch) == "odd":
+                    _run_routes(family, q, n_max, ch)
+        cached = classcount._classical.cache_info().currsize
+        assert cached > 0
+        keys = [(family, ch, q, order)
+                for family, ch in classcount._CLASSICAL
+                for q in (3, 4, Q) if isinstance(q, QPoly) or characteristic(q) == ch
+                for order in (n_max, 2 * n_max + 1)]
+        seen = 0
+        for key in keys:
+            hits = classcount._classical.cache_info().hits
+            series = classcount._classical(*key)
+            if classcount._classical.cache_info().hits == hits:
+                continue  # no route built this key; the call just did
+            seen += 1
+            assert isinstance(series.coeffs, tuple)
+            assert _typed(series) == _typed(classcount._classical.__wrapped__(*key))
+        assert seen == cached
 
 
 def k_bsp(q, n_max):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from affineclasses.cli import (CAP_ENV, CSV_COLUMNS, ORACLE_FAMILIES, SUITES,
                                TABLE_FAMILIES, main)
 from affineclasses.oracle import field as field_mod
+from affineclasses.series import TruncatedSeries
 
 
 def run(capsys, *argv):
@@ -187,6 +188,50 @@ class TestTableUsageErrors:
             main(["table", "--family", "axy", "--q", "2"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("argv,longest", [
+        (("table", "--family", "agl", "--q", "2", "--n-max", "100000000"),
+         100_000_001),
+        # indexed by dimension: 2 n_max + 2 coefficients in odd characteristic
+        (("table", "--family", "ao-odd", "--symbolic-q", "--n-max", "1000000"),
+         2_000_002),
+        (("bounds", "--q-set", "2", "--n-max", "100000000"), 100_000_001),
+        (("bounds", "--q-set", "2,3", "--n-max", "1000000"), 2_000_002),
+    ])
+    def test_series_checked_against_cap(self, capsys, monkeypatch, argv, longest):
+        def refuse(*args):
+            raise AssertionError("a series was built")
+        monkeypatch.setattr(TruncatedSeries, "__init__", refuse)
+        monkeypatch.delenv(CAP_ENV, raising=False)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == ("error: n_max %s needs a series of %d coefficients, "
+                       "which exceeds cap 2000000\n" % (argv[-1], longest))
+
+    @pytest.mark.parametrize("argv,fits", [
+        (("table", "--family", "agl", "--q", "2", "--n-max", "9"), True),
+        (("table", "--family", "agl", "--q", "2", "--n-max", "10"), False),
+        (("table", "--family", "ao-plus", "--q", "3", "--n-max", "4"), True),
+        (("table", "--family", "ao-plus", "--q", "3", "--n-max", "5"), False),
+        (("table", "--family", "ao-plus", "--q", "4", "--n-max", "9"), True),
+        (("bounds", "--q-set", "2,4", "--n-max", "9"), True),
+        (("bounds", "--q-set", "2,3", "--n-max", "5"), False),
+    ])
+    @pytest.mark.parametrize("source", ["env", "config"])
+    def test_series_cap_boundary(self, tmp_path, capsys, monkeypatch, argv,
+                                 fits, source):
+        # cap 10: ten coefficients fit, eleven do not; bounds reads its cap
+        # from the environment or the config file like the other commands
+        monkeypatch.delenv(CAP_ENV, raising=False)
+        if source == "env":
+            monkeypatch.setenv(CAP_ENV, "10")
+        else:
+            cfg = tmp_path / "cfg"
+            cfg.write_text("cap = 10\n")
+            argv += ("--config", str(cfg))
+        code, _, err = run(capsys, *argv)
+        assert code == (0 if fits else 3)
+        assert ("exceeds cap 10" in err) != fits
+
     def test_cap_exceeded_exit_3(self, capsys, monkeypatch):
         monkeypatch.delenv(CAP_ENV, raising=False)
         code, _, err = run(capsys, "table", "--family", "agl", "--q", "2",
@@ -348,17 +393,25 @@ class TestVerify:
 # ---------------------------------------------------------------------------
 # recorded outputs
 
-# the benchmark's recorded exit codes and stdout digests of the value-mode
-# commands: bounds, the cross-method suite and every numeric-q table
+# the benchmark's recorded exit codes and stdout digests of the exact
+# commands: bounds, the cross-method and identity suites and every table,
+# numeric-q and symbolic
 REFERENCE = json.loads((Path(__file__).resolve().parent.parent
                         / "perfbench" / "reference.json").read_text())["commands"]
-VALUE_MODE_COMMANDS = sorted(
+EXACT_COMMANDS = sorted(
     c for c in REFERENCE
-    if c.startswith(("bounds ", "verify --suite cross-method "))
-    or (c.startswith("table ") and "--symbolic-q" not in c))
+    if c.startswith(("bounds ", "table ", "verify --suite cross-method ",
+                     "verify --suite identities ")))
 
 
-@pytest.mark.parametrize("command", VALUE_MODE_COMMANDS)
+def test_exact_commands_replayed():
+    # 41 value-mode commands, the full identity suite and six symbolic tables
+    assert len(EXACT_COMMANDS) == 48
+    assert "verify --suite identities --grid full" in EXACT_COMMANDS
+    assert sum("--symbolic-q --n-max 30" in c for c in EXACT_COMMANDS) == 6
+
+
+@pytest.mark.parametrize("command", EXACT_COMMANDS)
 def test_reference_output(capsys, command):
     code, out, _ = run(capsys, *command.split())
     want = REFERENCE[command]

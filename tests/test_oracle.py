@@ -31,8 +31,9 @@ from affineclasses.oracle.groups import (Closure, _greedy_generators,
                                         mat_mul, mat_rank, mat_vec, p_compose,
                                         perm_from_matrix, points,
                                         preserves_form, vec_index)
-from affineclasses.partitions import d_stat, enum_partitions
+from affineclasses.partitions import d_stat
 from affineclasses.primes import is_prime
+from test_partitions import enum_partitions
 
 
 def affine_count(family, characteristic, q, n):

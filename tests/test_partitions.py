@@ -1,6 +1,9 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from affineclasses import partitions
 from affineclasses.partitions import (
     IDENTITIES,
     KINDS,
@@ -10,8 +13,6 @@ from affineclasses.partitions import (
     SignedPartition,
     b_stat,
     d_stat,
-    enum_partitions,
-    enum_signed,
     lemma_rhs,
     lemma_sum,
     o_gl,
@@ -24,6 +25,44 @@ from affineclasses.series import Q, QPoly
 
 def as_qpoly(x):
     return QPoly(0) + x
+
+
+# ---------------------------------------------------------------------------
+# the object enumeration: every (signed) partition as a Partition or
+# SignedPartition, the reference that lemma_sum's integer tallies are
+# checked against
+
+def _mult_dicts(total, largest, allowed):
+    # multiplicity dicts, largest part first, multiplicities descending
+    if total == 0:
+        yield {}
+        return
+    for i in range(min(largest, total), 0, -1):
+        for a in range(total // i, 0, -1):
+            if allowed(i, a):
+                for rest in _mult_dicts(total - i * a, i - 1, allowed):
+                    yield {i: a, **rest}
+
+
+def enum_partitions(n: int):
+    """All partitions of n, ordered by largest part descending."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return [Partition(m) for m in _mult_dicts(n, n, lambda i, a: True)]
+
+
+def enum_signed(size: int, parity: int):
+    """Signed partitions of the given total size: parity 0 for the
+    symplectic family (the size must be even), 1 for the orthogonal one.
+    Signs run over the signed sizes largest first, '+' before '-'."""
+    if size < 0 or (parity == 0 and size % 2):
+        raise ValueError("size must be >= 0, and even for parity 0")
+    out = []
+    for m in _mult_dicts(size, size, lambda i, a: i % 2 == parity or a % 2 == 0):
+        signed = sorted((i for i in m if i % 2 == parity), reverse=True)
+        out.extend(SignedPartition(m, dict(zip(signed, signs)), parity)
+                   for signs in product((PLUS, MINUS), repeat=len(signed)))
+    return out
 
 
 class TestEnumeration:
@@ -240,6 +279,48 @@ class TestIdentities:
             sums = lemma_sum("plain", n)
             parts = sums["genfunU-1"][n] + Q * sums["genfunU-2"][n] - sums["genfunU-3"][n]
             assert total == as_qpoly(parts)
+
+
+def unsigned_sizes(lam):
+    return len(lam.mult) - len(lam.signs)
+
+
+def weight_rows(q0):
+    """The genfun-3 row for n <= 9 and the genfunO-3 row for n <= 12 from
+    lemma_sum's tallies, evaluated at q0."""
+    return {"genfun-3": [p(q0) for p in lemma_sum("Sp", 9)["genfun-3"]],
+            "genfunO-3": [p(q0) for p in lemma_sum("O", 12)["genfunO-3"]]}
+
+
+def weight_reference(q0):
+    """The same rows from the per-class formula: o_signed minus 1 for the
+    class and 1 per unsigned part size, summed over the objects."""
+    def row(signed):
+        return [sum(o_signed(lam, q0) - 1 - unsigned_sizes(lam) for lam in objects)
+                for objects in signed]
+    return {"genfun-3": row(enum_signed(2 * n, 0) for n in range(10)),
+            "genfunO-3": row(enum_signed(n, 1) for n in range(13))}
+
+
+class TestWeightTallies:
+    """lemma_sum counts signed part sizes per weight class in ints; the
+    rows it builds from those counts must match o_signed class by class."""
+
+    @pytest.mark.parametrize("q0", [3, 5, 7])
+    def test_tallies_match_per_class_formula(self, q0):
+        assert weight_rows(q0) == weight_reference(q0)
+
+    @pytest.mark.parametrize("swap", [(0, 1), (1, 2), (0, 2)])
+    def test_swapped_weight_class_fails(self, monkeypatch, swap):
+        # with two weight classes swapped in the tally, the check must fail
+        want = weight_reference(5)
+        weights = list(partitions._WEIGHTS)
+        i, j = swap
+        weights[i], weights[j] = weights[j], weights[i]
+        monkeypatch.setattr(partitions, "_WEIGHTS", tuple(weights))
+        got = weight_rows(5)
+        assert got["genfun-3"] != want["genfun-3"]
+        assert got["genfunO-3"] != want["genfunO-3"]
 
 
 @given(st.integers(min_value=0, max_value=12))
