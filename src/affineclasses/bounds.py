@@ -1,8 +1,10 @@
 """Inequalities on affine class counts, checked exactly on a grid, plus
 certificates for the numeric constants those inequalities rest on.
 
-Bound checks evaluate the closed-form counts in exact arithmetic and compare
-cell by cell, with the known exceptional values listed verbatim.  Constant
+Each inequality is a BoundSpec row: a table family, a characteristic, a
+bound c q^(a n + b) given as (c, a, b), a comparison mode and the known
+exceptional values, listed verbatim.  Bound checks evaluate the closed-form
+counts in exact arithmetic and compare cell by cell.  Constant
 certificates evaluate truncated infinite products (or coefficient sums) in
 exact rational arithmetic and control the tail by an explicit geometric
 majorant, so every certificate is a rigorous enclosure [lower, upper]; the
@@ -11,10 +13,11 @@ certificate holds only when the upper end is at most the claimed constant.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .classcount import affine_counts, k_ah
+from .classcount import affine_counts, characteristic, k_ah
 from .primes import divisors
 from .series import (RATIONAL, FactorFamily, TruncatedSeries, apply_product,
                      geometric)
@@ -43,25 +46,25 @@ def k_ao_even_dim(q: int, n: int, plus: bool) -> int:
 # ---------------------------------------------------------------------------
 # bound specifications and the per-cell checker
 
+@dataclass
 class BoundSpec:
-    """One corollary-level inequality: an exact count, a bound expression,
-    a comparison mode and the verbatim exception list {(n, q): value}.
+    """One corollary-level inequality as a row: the count k(n, q) of a table
+    family (affine_counts), its characteristic ("odd", "even" or "any"),
+    bound = (c, a, b) for c q^(a n + b), and a mode: "le" for k <= bound,
+    "eq" for k = bound, "window" for q^(a n + b) < k < c q^(a n + b).
+    Cells n_min..n_last (n_max when n_last is None) are checked; the
+    exceptions {(n, q): value} are listed verbatim.  count(q, n_max), when
+    given, replaces affine_counts for the counts n = 0..n_max."""
 
-    count(q, n_max) returns the counts for n = 0..n_max, so each q's series
-    is read once per grid."""
-
-    def __init__(self, spec_id, family, characteristic, description, count,
-                 bound, mode, exceptions=None, applicable=None, n_min=1):
-        self.id = spec_id
-        self.family = family
-        self.characteristic = characteristic
-        self.description = description
-        self.count = count
-        self.bound = bound
-        self.mode = mode            # "le", "lt", "window", "eq"
-        self.exceptions = dict(exceptions or {})
-        self.applicable = applicable or (lambda q, n: True)
-        self.n_min = n_min
+    id: str
+    family: str
+    characteristic: str
+    bound: tuple
+    mode: str = "le"
+    exceptions: dict = field(default_factory=dict)
+    n_min: int = 1
+    n_last: int = None
+    count: object = None
 
     def q_set(self, qs):
         if self.characteristic == "odd":
@@ -69,9 +72,6 @@ class BoundSpec:
         if self.characteristic == "even":
             return [q for q in qs if q % 2 == 0]
         return list(qs)
-
-    def __repr__(self):
-        return "BoundSpec(%s)" % self.id
 
 
 class BoundReport:
@@ -89,8 +89,6 @@ class BoundReport:
 def _compare(mode, k, bound):
     if mode == "le":
         return k <= bound
-    if mode == "lt":
-        return k < bound
     if mode == "eq":
         return k == bound
     lo, hi = bound
@@ -101,13 +99,15 @@ def check_bound(spec: BoundSpec, q_set=Q_ALL, n_max=DEFAULT_N_MAX) -> BoundRepor
     """Evaluate one inequality on the whole grid; a cell holds, matches its
     listed exception value exactly, or is a VIOLATION."""
     cells = []
+    c, a, b = spec.bound
+    n_last = n_max if spec.n_last is None else min(spec.n_last, n_max)
     for q in spec.q_set(q_set):
-        counts = spec.count(q, n_max)
-        for n in range(spec.n_min, n_max + 1):
-            if not spec.applicable(q, n):
-                continue
+        counts = (spec.count(q, n_max) if spec.count
+                  else affine_counts(spec.family, q, n_max))
+        for n in range(spec.n_min, n_last + 1):
             k = counts[n]
-            bound = spec.bound(q, n)
+            power = q ** (a * n + b)
+            bound = (power, c * power) if spec.mode == "window" else c * power
             if (n, q) in spec.exceptions:
                 # exceptional cells must reproduce their listed value exactly
                 verdict = ("exception" if k == spec.exceptions[(n, q)]
@@ -122,115 +122,39 @@ def check_bound(spec: BoundSpec, q_set=Q_ALL, n_max=DEFAULT_N_MAX) -> BoundRepor
 
 
 def _asu_sandwich_counts(q, n_max):
-    # The majorant (q+1) k(AGU) covers every intermediate subgroup.  At q=2
-    # it is too weak for n=3,4, but there the only intermediate groups are
-    # ASU (exact value known) and AGU itself (exact from the series).
+    # k(H) <= q^(2n) for ASU(n,q) <= H <= AGU(n,q), n >= 3.  The majorant
+    # (q+1) k(AGU) covers every intermediate subgroup.  At q=2 it is too
+    # weak for n=3,4, but there the only intermediate groups are ASU (exact
+    # value known) and AGU itself (exact from the series).
     exact_asu = {(3, 2): 24, (4, 2): 49}
     return [max(exact_asu[(n, q)], k) if (n, q) in exact_asu else k * (q + 1)
             for n, k in enumerate(affine_counts("agu", q, n_max))]
 
 
-_AGL = partial(affine_counts, "agl")
-_AGU = partial(affine_counts, "agu")
-_ASP = partial(affine_counts, "asp")
-_AO_PLUS = partial(affine_counts, "ao-plus")
-_AO_MINUS = partial(affine_counts, "ao-minus")
-_AO_ODD = partial(affine_counts, "ao-odd")
-
-
 BOUND_SPECS = [
-    BoundSpec(
-        "agl-dim1", "AGL", "any",
-        "k(AGL(1,q)) = q",
-        _AGL, lambda q, n: q, "eq",
-        applicable=lambda q, n: n == 1),
-    BoundSpec(
-        "agl-window", "AGL", "any",
-        "q^n < k(AGL(n,q)) < 2 q^n for n >= 2",
-        _AGL, lambda q, n: (q ** n, 2 * q ** n),
-        "window", n_min=2),
-    BoundSpec(
-        "agu-20qn", "AGU", "any",
-        "k(AGU(n,q)) <= 20 q^n",
-        _AGU, lambda q, n: 20 * q ** n, "le"),
-    BoundSpec(
-        "agu-q2n", "AGU", "any",
-        "k(AGU(n,q)) <= q^(2n)",
-        _AGU, lambda q, n: q ** (2 * n), "le"),
-    BoundSpec(
-        "asu-sandwich-q2n", "ASU..AGU", "any",
-        "k(H) <= q^(2n) for ASU(n,q) <= H <= AGU(n,q), n >= 3, via the "
-        "index majorant (q+1) k(AGU) and the exact ASU values at q=2",
-        _asu_sandwich_counts, lambda q, n: q ** (2 * n), "le", n_min=3),
-    BoundSpec(
-        "asp-odd-27qn", "ASp", "odd",
-        "k(ASp(2n,q)) <= 27 q^n in odd characteristic",
-        _ASP, lambda q, n: 27 * q ** n, "le"),
-    BoundSpec(
-        "asp-odd-q2n", "ASp", "odd",
-        "k(ASp(2n,q)) <= q^(2n) in odd characteristic, except ASp(2,3)",
-        _ASP, lambda q, n: q ** (2 * n), "le",
-        exceptions={(1, 3): 10}),
-    BoundSpec(
-        "asp-even-56qn", "ASp", "even",
-        "k(ASp(2n,q)) <= 56 q^n in even characteristic",
-        _ASP, lambda q, n: 56 * q ** n, "le"),
-    BoundSpec(
-        "asp-even-q2n", "ASp", "even",
-        "k(ASp(2n,q)) <= q^(2n) in even characteristic, except three cells "
-        "at q=2",
-        _ASP, lambda q, n: q ** (2 * n), "le",
-        exceptions={(1, 2): 5, (2, 2): 21, (3, 2): 67}),
-    BoundSpec(
-        "ao-plus-odd-29qn", "AO+", "odd",
-        "k(AO+(2n,q)) <= 29 q^n for odd q",
-        _AO_PLUS,
-        lambda q, n: 29 * q ** n, "le"),
-    BoundSpec(
-        "ao-minus-odd-29qn", "AO-", "odd",
-        "k(AO-(2n,q)) <= 29 q^n for odd q",
-        _AO_MINUS,
-        lambda q, n: 29 * q ** n, "le"),
-    BoundSpec(
-        "ao-plus-odd-q2n", "AO+", "odd",
-        "k(AO+(2n,q)) <= q^(2n) for odd q",
-        _AO_PLUS,
-        lambda q, n: q ** (2 * n), "le"),
-    BoundSpec(
-        "ao-minus-odd-q2n", "AO-", "odd",
-        "k(AO-(2n,q)) <= q^(2n) for odd q",
-        _AO_MINUS,
-        lambda q, n: q ** (2 * n), "le"),
-    BoundSpec(
-        "ao-odd-dim-20qn1", "AO", "odd",
-        "k(AO(2n+1,q)) <= 20 q^(n+1) for odd q",
-        _AO_ODD, lambda q, n: 20 * q ** (n + 1), "le", n_min=0),
-    BoundSpec(
-        "ao-odd-dim-q2n1", "AO", "odd",
-        "k(AO(2n+1,q)) <= q^(2n+1) for odd q",
-        _AO_ODD, lambda q, n: q ** (2 * n + 1), "le", n_min=0),
-    BoundSpec(
-        "ao-plus-even-60qn", "AO+", "even",
-        "k(AO+(2n,q)) <= 60 q^n for even q",
-        _AO_PLUS,
-        lambda q, n: 60 * q ** n, "le"),
-    BoundSpec(
-        "ao-minus-even-60qn", "AO-", "even",
-        "k(AO-(2n,q)) <= 60 q^n for even q",
-        _AO_MINUS,
-        lambda q, n: 60 * q ** n, "le"),
-    BoundSpec(
-        "ao-plus-even-q2n", "AO+", "even",
-        "k(AO+(2n,q)) <= q^(2n) for even q, except two cells at q=2",
-        _AO_PLUS,
-        lambda q, n: q ** (2 * n), "le",
-        exceptions={(1, 2): 5, (2, 2): 20}),
-    BoundSpec(
-        "ao-minus-even-q2n", "AO-", "even",
-        "k(AO-(2n,q)) <= q^(2n) for even q, except three cells at q=2",
-        _AO_MINUS,
-        lambda q, n: q ** (2 * n), "le",
-        exceptions={(1, 2): 5, (2, 2): 18, (3, 2): 65}),
+    BoundSpec("agl-dim1", "agl", "any", (1, 0, 1), "eq", n_last=1),
+    BoundSpec("agl-window", "agl", "any", (2, 1, 0), "window", n_min=2),
+    BoundSpec("agu-20qn", "agu", "any", (20, 1, 0)),
+    BoundSpec("agu-q2n", "agu", "any", (1, 2, 0)),
+    BoundSpec("asu-sandwich-q2n", "agu", "any", (1, 2, 0), n_min=3,
+              count=_asu_sandwich_counts),
+    BoundSpec("asp-odd-27qn", "asp", "odd", (27, 1, 0)),
+    BoundSpec("asp-odd-q2n", "asp", "odd", (1, 2, 0), exceptions={(1, 3): 10}),
+    BoundSpec("asp-even-56qn", "asp", "even", (56, 1, 0)),
+    BoundSpec("asp-even-q2n", "asp", "even", (1, 2, 0),
+              exceptions={(1, 2): 5, (2, 2): 21, (3, 2): 67}),
+    BoundSpec("ao-plus-odd-29qn", "ao-plus", "odd", (29, 1, 0)),
+    BoundSpec("ao-minus-odd-29qn", "ao-minus", "odd", (29, 1, 0)),
+    BoundSpec("ao-plus-odd-q2n", "ao-plus", "odd", (1, 2, 0)),
+    BoundSpec("ao-minus-odd-q2n", "ao-minus", "odd", (1, 2, 0)),
+    BoundSpec("ao-odd-dim-20qn1", "ao-odd", "odd", (20, 1, 1), n_min=0),
+    BoundSpec("ao-odd-dim-q2n1", "ao-odd", "odd", (1, 2, 1), n_min=0),
+    BoundSpec("ao-plus-even-60qn", "ao-plus", "even", (60, 1, 0)),
+    BoundSpec("ao-minus-even-60qn", "ao-minus", "even", (60, 1, 0)),
+    BoundSpec("ao-plus-even-q2n", "ao-plus", "even", (1, 2, 0),
+              exceptions={(1, 2): 5, (2, 2): 20}),
+    BoundSpec("ao-minus-even-q2n", "ao-minus", "even", (1, 2, 0),
+              exceptions={(1, 2): 5, (2, 2): 18, (3, 2): 65}),
 ]
 
 
@@ -252,6 +176,7 @@ def check_ah_theorem(q_set=Q_ALL, n_max=DEFAULT_N_MAX):
     """
     rows = []
     for q in q_set:
+        characteristic(q)  # q must be a prime power
         if q == 2:
             continue  # e < q-1 = 1 is impossible, no group qualifies
         for e in divisors(q - 1):

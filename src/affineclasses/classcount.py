@@ -4,22 +4,25 @@ Three independent routes are provided and cross-checked by the tests:
 
 * closed-form generating functions (classical_series, affine_series),
 * assemblies of centralizer orbit counts over classes (orbit_built_series),
-* first-order recursions from the character method (affine_recursive).
+* recursions from the character method (affine_recursive).
 
 Every route is called as (family, q, order or n_max, ch="").  The family is
 a classical name (GL, GU, Sp, O-sum, O-diff) or an affine one (AGL, AGU,
 ASp, AO-sum, AO-diff); the orthogonal series are indexed by the full
 dimension in odd characteristic and by half of it in even characteristic,
-the others by n.  All arithmetic is exact.  An integer q gives value mode:
-q must be a prime power, the characteristic ch follows from q and a ch that
+the others by n.  All arithmetic is exact.  An int q gives value mode: q
+must be a prime power, the characteristic ch follows from q and a ch that
 contradicts it is an error, and counts are validated to be integers.
 Passing the symbolic generator Q (a QPoly) as q gives symbolic mode, where
-ch picks the characteristic and defaults to odd.
+ch picks the characteristic and defaults to odd.  characteristic is the one
+place that validates q, and it refuses any other type of q.
 
 The closed forms and the orbit assembly are written in the vocabulary of
 the series module: a classical generating function is a product of
 FactorFamily rows (apply_product), and an affine one, or an orbit-count
-piece, is a weight (c, k, j) times such products (apply_weight).
+piece, is a weight (c, k, j) times such products (apply_weight).  The
+recursions are one recurrence table: per affine family, the shift of its
+self term and its classical terms (G, c, k).
 
 affine_counts reads table rows n = 0..n_max (row_index, row_dimension) off
 the closed-form series; recursion_counts and orbit_counts read the same rows
@@ -101,18 +104,20 @@ def _to_int(x):
 
 
 def characteristic(q, ch: str = "") -> str:
-    """The characteristic ("odd" or "even") a route computes in.  In value
-    mode it follows from q, which must be a prime power, and a ch that
+    """The characteristic ("odd" or "even") a route computes in, and the one
+    place that validates q.  In value mode q must be an int prime power (a
+    float, Fraction or bool would share an int's cache keys) and a ch that
     contradicts q is an error; in symbolic mode it is ch, odd by default."""
     if isinstance(q, QPoly):
         if ch not in ("", "odd", "even"):
             raise ValueError("characteristic must be 'odd' or 'even', got %r" % (ch,))
         return ch or "odd"
-    qi = _to_int(q)
-    prime_power(qi)
-    own = "odd" if qi % 2 else "even"
+    if not isinstance(q, int) or isinstance(q, bool):
+        raise ValueError("q must be an int or the symbolic Q, got %r" % (q,))
+    prime_power(q)
+    own = "odd" if q % 2 else "even"
     if ch and ch != own:
-        raise ValueError("characteristic %r contradicts q = %d" % (ch, qi))
+        raise ValueError("characteristic %r contradicts q = %d" % (ch, q))
     return own
 
 
@@ -171,7 +176,8 @@ def classical_series(family: str, q, order: int = DEFAULT_ORDER,
 def sp_even_proof_form(q, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Alternative product form of the even-characteristic symplectic series;
     must agree with classical_series(Sp, even) coefficientwise."""
-    return apply_product(_classical("GU", "even", q, order), _SP_EVEN_PROOF)
+    return apply_product(_classical("GU", characteristic(q, "even"), q, order),
+                         _SP_EVEN_PROOF)
 
 
 # ---------------------------------------------------------------------------
@@ -330,68 +336,42 @@ def orbit_built_series(family: str, q, order: int = DEFAULT_ORDER,
 # character-method recursions
 
 def affine_recursive(family: str, q, n_max: int, ch: str = "") -> tuple:
-    """Affine counts from the recursions, using only classical baselines."""
+    """Affine counts a_0..a_n_max from the character-method recursions,
+    using only classical baselines G_n (classical_series).
+
+    Each family is one row (shift s, classical terms): a_n is a_(n-s) plus
+    c G_(n-k) over its classical terms (G, c, k); a term at a negative
+    index reads 0, so a_0 = G_0 = 1.
+
+    The paper's orthogonal recursions run per type: in odd characteristic
+    plus_n = P_n + plus_(n-2) + ((q-1)/2) S_(n-1), and minus_n likewise
+    with M_n, where P and M are the plus and minus baselines and S = P + M
+    is the O-sum series; in even characteristic the shift is 1 and the
+    cross term 2(q-1) Sp_(n-1).  The two types share the cross term, so
+    their sum AO-sum doubles it and their difference AO-diff drops it;
+    both follow one recursion on the O-sum or O-diff baseline.
+    """
     ch = characteristic(q, ch)
-    if family not in AFFINE_FAMILIES:
+    odd = ch == "odd"
+    row = {
+        "AGL": (1, (("GL", 1, 0),)),
+        "AGU": (2, (("GU", 1, 0), ("GU", q - 1, 1), ("GU", q - 1, 2))),
+        "ASp": (1, (("Sp", 1, 0), ("Sp" if odd else "O-sum", q - 1, 1))),
+        "AO-sum": (2, (("O-sum", 1, 0), ("O-sum", q - 1, 1))) if odd else
+                  (1, (("O-sum", 1, 0), ("Sp", 4 * (q - 1), 1))),
+        "AO-diff": (2 if odd else 1, (("O-diff", 1, 0),)),
+    }.get(family)
+    if row is None:
         raise ValueError("%r is not an affine family" % (family,))
+    shift, terms = row
     symbolic = isinstance(q, QPoly)
-
-    def classical(fam2):
-        return _values(classical_series(fam2, q, n_max, ch).coeffs, symbolic)
-
-    if family == "AGL":
-        gl = classical("GL")
-        vals, acc = [], 0
-        for n in range(n_max + 1):
-            if n:
-                acc = acc + gl[n]
-            vals.append(1 + acc)
-        return tuple(vals)
-
-    if family == "AGU":
-        gu = classical("GU")
-        vals = []
-        for n in range(n_max + 1):
-            if n == 0:
-                vals.append(1)
-                continue
-            # AGU(-1) is empty, so n=1 gets no contribution here
-            prev2 = vals[n - 2] if n >= 2 else 0
-            gu1 = gu[n - 1]
-            gu2 = gu[n - 2] if n >= 2 else 0
-            vals.append(gu[n] + (q - 1) * gu1 + prev2 + (q - 1) * gu2)
-        return tuple(vals)
-
-    if family == "ASp":
-        sp = classical("Sp")
-        # odd characteristic recurses on Sp, even on the orthogonal sum
-        base = sp if ch == "odd" else classical("O-sum")
-        vals = [1]
-        for n in range(1, n_max + 1):
-            vals.append(sp[n] + vals[n - 1] + (q - 1) * base[n - 1])
-        return tuple(vals)
-
-    # orthogonal affine families: run the plus and minus recursions
-    # separately, then combine
-    osum = classical("O-sum")
-    pbase, mbase = ao_split(osum, classical("O-diff"))
-    plus, minus = [1], [0]
-    if ch == "odd":
-        half = (q - 1) / 2 if symbolic else (q - 1) // 2  # q - 1 is even
-        for n in range(1, n_max + 1):
-            cross = half * osum[n - 1]
-            p2 = plus[n - 2] if n >= 2 else 0
-            m2 = minus[n - 2] if n >= 2 else 0
-            plus.append(pbase[n] + p2 + cross)
-            minus.append(mbase[n] + m2 + cross)
-    else:
-        sp = classical("Sp")
-        for n in range(1, n_max + 1):
-            plus.append(pbase[n] + plus[n - 1] + 2 * (q - 1) * sp[n - 1])
-            minus.append(mbase[n] + minus[n - 1] + 2 * (q - 1) * sp[n - 1])
-
-    sign = 1 if family == "AO-sum" else -1
-    return _values([plus[n] + sign * minus[n] for n in range(n_max + 1)], symbolic)
+    terms = [(c, k, _values(classical_series(fam, q, n_max, ch).coeffs, symbolic))
+             for fam, c, k in terms]
+    vals = []
+    for n in range(n_max + 1):
+        vals.append(sum([c * g[n - k] for c, k, g in terms if k <= n],
+                        vals[n - shift] if n >= shift else 0))
+    return _values(vals, symbolic)
 
 
 def k_ah(q, e: int, n_max: int, kH=None) -> tuple:
@@ -406,17 +386,16 @@ def k_ah(q, e: int, n_max: int, kH=None) -> tuple:
     if isinstance(q, QPoly):
         raise TypeError("k_ah works in value mode only")
     gl = _values(classical_series("GL", q, n_max).coeffs, False)
-    qi = _to_int(q)
-    if e < 1 or (qi - 1) % e:
+    if e < 1 or (q - 1) % e:
         raise ValueError("e must divide q-1")
-    index = (qi - 1) // e
+    index = (q - 1) // e
     if kH is not None:
         kh = list(kH)
         if len(kh) < n_max + 1:
             raise ValueError("kH too short: need entries up to n=%d" % n_max)
     elif index == 1:
         kh = [1] + list(gl[1:])
-    elif index == 2 and qi % 2 == 1:
+    elif index == 2 and q % 2 == 1:
         kh = [1]
         for n in range(1, n_max + 1):
             v = Fraction(gl[n], 2)

@@ -247,21 +247,20 @@ def cmd_table(args) -> int:
         cap = resolve_cap(args.cap, cfg)
         if methods != ["oracle"]:
             _check_series_cap(n_max, fam.startswith("ao") and ch == "odd", cap)
-        records = []
-        for method in methods:
-            values = _route_values(method, fam, ch, q, n_max, cap)
-            for n, value in enumerate(values, 1):
-                records.append(OutputRecord(
-                    display, ch, n, row_dimension(fam, n), q_label, method,
-                    str(value), "ok"))
+        values = {m: _route_values(m, fam, ch, q, n_max, cap) for m in methods}
     except ValueError as e:
         raise UsageError(str(e))
+    # a row is ok when every route that ran gives the same value at its n
+    agree = [all(v == row[0] for v in row) for row in zip(*values.values())]
+    records = [OutputRecord(display, ch, n, row_dimension(fam, n), q_label,
+                            method, str(value), "ok" if agree[n - 1] else "MISMATCH")
+               for method, vals in values.items() for n, value in enumerate(vals, 1)]
 
     fmt = args.format or cfg.get("format") or "csv"
     if fmt not in RENDERERS:
         raise UsageError("unknown format %r" % (fmt,))
     _emit(RENDERERS[fmt](records), args.out)
-    return 0
+    return 0 if all(agree) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ reference.
 
 from collections import Counter
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -243,18 +242,15 @@ class TestBoundGrid:
         assert 3 * affine_counts("agu", 2, 3)[3] > 2 ** 6
 
     def test_violation_path(self):
-        bad = BoundSpec("too-tight", "AGL", "any", "k(AGL) <= q^n, false",
-                        partial(affine_counts, "agl"), lambda q, n: q ** n, "le")
+        bad = BoundSpec("too-tight", "agl", "any", (1, 1, 0), "le")
         rep = check_bound(bad, q_set=(2, 3), n_max=4)
         assert not rep.ok
         assert all(c["verdict"] == "VIOLATION" for c in rep.cells
                    if c["n"] >= 2)
 
     def test_exception_value_mismatch_is_violation(self):
-        bad = BoundSpec("wrong-exception", "ASp", "odd",
-                        "q^(2n) with a wrong listed value",
-                        partial(affine_counts, "asp"), lambda q, n: q ** (2 * n),
-                        "le", exceptions={(1, 3): 11})
+        bad = BoundSpec("wrong-exception", "asp", "odd", (1, 2, 0), "le",
+                        exceptions={(1, 3): 11})
         rep = check_bound(bad, q_set=(3,), n_max=2)
         assert [c["verdict"] for c in rep.cells] == ["VIOLATION", "holds"]
 
@@ -310,6 +306,11 @@ class TestAHTheorem:
 
     def test_q2_vacuous(self):
         assert check_ah_theorem(q_set=(2,))["rows"] == []
+
+    @pytest.mark.parametrize("q", [6, 10])
+    def test_rejects_q_not_a_prime_power(self, q):
+        with pytest.raises(ValueError):
+            check_ah_theorem(q_set=(q,), n_max=3)
 
     def test_index2_values(self):
         # q=5, e=2: the subgroup counts come from halved general linear

@@ -51,7 +51,6 @@ class TestCharacteristic:
         assert [characteristic(q) for q in (2, 3, 4, 9, 27)] == [
             "even", "odd", "even", "odd", "odd"]
         assert characteristic(4, "even") == "even"
-        assert characteristic(Fraction(5)) == "odd"
 
     def test_symbolic_mode_takes_ch(self):
         assert characteristic(Q) == "odd"
@@ -65,6 +64,19 @@ class TestCharacteristic:
     def test_rejects(self, q, ch):
         with pytest.raises(ValueError):
             characteristic(q, ch)
+
+    @pytest.mark.parametrize("q", [3.0, Fraction(3), True])
+    def test_only_int_q(self, q):
+        # a q equal to an int would share its cache keys, so it is refused
+        # before any cache is read, whichever call came first
+        _clear_series_caches()
+        with pytest.raises(ValueError):
+            characteristic(q)
+        with pytest.raises(ValueError):
+            affine_counts("agl", q, 3)
+        assert affine_counts("agl", 3, 3) == (1, 3, 11, 35)
+        with pytest.raises(ValueError):
+            affine_counts("agl", q, 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -176,6 +188,11 @@ class TestClassicalSeries:
 
     def test_sp_even_forms_agree_symbolically(self):
         assert classical_series("Sp", Q, 40, "even") == sp_even_proof_form(Q, 40)
+
+    @pytest.mark.parametrize("q", [3, 6])
+    def test_sp_even_proof_form_needs_even_prime_power(self, q):
+        with pytest.raises(ValueError):
+            sp_even_proof_form(q, 4)
 
     def test_o_odd_first(self):
         assert classical_series("O-sum", Q, 3).coeff(1) == 4
@@ -345,6 +362,8 @@ RECURSION_CASES = [
     ("AO-diff", "odd", 3), ("AO-diff", "even", 2),
 ]
 
+SYMBOLIC_CASES = [(f, ch) for ch in ("odd", "even") for f in sorted(AFFINE_FAMILIES)]
+
 
 class TestRecursions:
     @pytest.mark.parametrize("family,ch,q", RECURSION_CASES)
@@ -353,12 +372,34 @@ class TestRecursions:
         ser = affine_series(family, q, 12, ch)
         assert list(rec) == [ser.coeff(n) for n in range(13)]
 
-    @pytest.mark.parametrize("family", sorted(AFFINE_FAMILIES))
-    def test_symbolic_recursion(self, family):
-        rec = affine_recursive(family, Q, 8, "odd")
-        ser = affine_series(family, Q, 8, "odd")
+    @pytest.mark.parametrize("family,ch", SYMBOLIC_CASES,
+                             ids=[f + ("" if ch == "odd" else "-even")
+                                  for f, ch in SYMBOLIC_CASES])
+    def test_symbolic_recursion(self, family, ch):
+        rec = affine_recursive(family, Q, 8, ch)
+        ser = affine_series(family, Q, 8, ch)
         for n in range(9):
             assert QPoly(0) + rec[n] == QPoly(0) + ser.coeff(n)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_per_type_orthogonal_recursions(self, q):
+        # the paper's recursions per type, with the cross term the plus and
+        # minus types share, against the split of the sum and difference
+        n_max = 12
+        plus, minus = ao_split(affine_recursive("AO-sum", q, n_max),
+                               affine_recursive("AO-diff", q, n_max))
+        osum = classical_series("O-sum", q, n_max).coeffs
+        pbase, mbase = ao_split(osum, classical_series("O-diff", q, n_max).coeffs)
+        if q % 2:
+            shift, cross = 2, [(q - 1) // 2 * s for s in osum]
+        else:
+            shift = 1
+            cross = [2 * (q - 1) * s for s in classical_series("Sp", q, n_max).coeffs]
+        assert (plus[0], minus[0]) == (1, 0)
+        for n in range(1, n_max + 1):
+            for own, base in ((plus, pbase), (minus, mbase)):
+                back = own[n - shift] if n >= shift else 0
+                assert own[n] == base[n] + back + cross[n - 1]
 
     def test_agl22(self):
         assert affine_recursive("AGL", 2, 2, "even")[2] == 5
@@ -398,12 +439,13 @@ class TestClassicalCache:
         assert classcount._classical.cache_info().maxsize == 64
 
     def test_symbolic_ao_plus_table(self):
-        # O-sum and O-diff are built once each; the closed form's second
-        # use, the recursions and the orbit assembly read them six times
+        # O-sum and O-diff are built once each; the recursions read them
+        # once per classical term (O-sum twice, O-diff once) and the orbit
+        # assembly once each
         _clear_series_caches()
         _run_routes("ao-plus", Q, 10)
         info = classcount._classical.cache_info()
-        assert (info.hits, info.misses) == (6, 2)
+        assert (info.hits, info.misses) == (5, 2)
 
     def test_cached_series_equal_fresh_builds(self):
         _clear_series_caches()

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affineclasses import cli
 from affineclasses.cli import (CAP_ENV, CSV_COLUMNS, ORACLE_FAMILIES, SUITES,
                                TABLE_FAMILIES, main)
 from affineclasses.oracle import field as field_mod
@@ -87,6 +88,26 @@ class TestTable:
         assert len(want) == 8
         for method in methods[1:]:
             assert column(rows, method) == want
+
+    def test_mismatch_status_exits_1(self, capsys, monkeypatch):
+        # one route off by one at n = 2 marks that row MISMATCH on every
+        # route and fails the command; the other rows stay ok
+        real = cli.recursion_counts
+
+        def off_by_one(family, q, n_max, ch=""):
+            counts = list(real(family, q, n_max, ch))
+            counts[2] += 1
+            return tuple(counts)
+
+        monkeypatch.setattr(cli, "recursion_counts", off_by_one)
+        code, out, _ = run(capsys, "table", "--family", "agl", "--q", "3",
+                           "--n-max", "3")
+        assert code == 1
+        status = {(r["method"], r["n"]): r["status"] for r in csv_rows(out)}
+        assert len(status) == 9
+        assert {k for k, v in status.items() if v != "ok"} == {
+            ("closed-form", "2"), ("recursion", "2"), ("orbit-assembly", "2")}
+        assert set(status.values()) == {"ok", "MISMATCH"}
 
     def test_ao_odd_dimensions(self, capsys):
         code, out, _ = run(capsys, "table", "--family", "ao-odd", "--q", "3",
