@@ -217,13 +217,20 @@ def check_ah_theorem(q_set=Q_ALL, n_max=DEFAULT_N_MAX):
 # ---------------------------------------------------------------------------
 # exact product enclosures
 
+def _exact(x) -> Fraction:
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError("exact bounds take ints and Fractions, not %s"
+                        % type(x).__name__)
+    return Fraction(x)
+
+
 class Interval:
     """A closed interval with exact rational endpoints."""
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = _exact(lo), _exact(hi)
         if lo > hi:
             raise ValueError("empty interval")
         self.lo, self.hi = lo, hi
@@ -247,10 +254,12 @@ class Interval:
     __radd__ = __add__
 
     def power(self, k: int):
-        out = Interval(1, 1)
-        for _ in range(k):
-            out = out * self
-        return out
+        # a power of a reduced fraction is reduced: no gcd runs
+        if k < 0:
+            raise ValueError("only nonnegative powers of an interval")
+        if k and self.lo < 0:
+            raise ValueError("only nonnegative intervals are multiplied")
+        return Interval(self.lo ** k, self.hi ** k)
 
     def __repr__(self):
         return "Interval(%s, %s)" % (self.lo, self.hi)
@@ -261,21 +270,28 @@ def geometric_factor_product(t: Fraction, fam: FactorFamily,
     """Enclosure of fam's product prod_{i>=1} (1 + c t^(step*i + offset))^power
     at u = t, 0 < t < 1, for a coefficient c of +1 or -1.
 
-    The first `terms` factors are exact; beyond them, factors of the four
-    sign and power-sign shapes are squeezed between 1 - S and 1/(1 - S)
-    where S = sum of the remaining t-powers, a plain geometric series.
+    The first `terms` factors are exact: with t = a/b and k_i = step*i +
+    offset, their product is one integer numerator prod (b^k_i + c a^k_i)
+    over b^(sum k_i), reduced once.  Beyond them, factors of the four sign
+    and power-sign shapes are squeezed between 1 - S and 1/(1 - S) where
+    S = sum of the remaining t-powers, a plain geometric series.
     """
     sign, step, offset = fam.coefficient, fam.step, fam.offset
     if sign not in (1, -1):
         raise ValueError("enclosures need a coefficient of +1 or -1")
-    t = Fraction(t)
+    t = _exact(t)
     if not 0 < t < 1:
         raise ValueError("t must be in (0,1)")
+    if terms < 0:
+        raise ValueError("terms must be nonnegative")
     invert = fam.power < 0
-    val = Fraction(1)
-    for i in range(1, terms + 1):
-        f = 1 + sign * t ** (step * i + offset)
-        val = val / f if invert else val * f
+    a, b = t.numerator, t.denominator
+    exponents = range(step + offset, step * terms + offset + 1, step)
+    num = 1
+    for k in exponents:
+        num *= b ** k + sign * a ** k
+    den = b ** sum(exponents)
+    val = Fraction(den, num) if invert else Fraction(num, den)
     tail_sum = t ** (step * (terms + 1) + offset) / (1 - t ** step)
     if tail_sum >= 1:
         raise ValueError("truncation too short for a tail majorant")
@@ -303,10 +319,12 @@ def _enclose(t: Fraction, families) -> Interval:
 _H = (FactorFamily(1, 2, -1, power=4), FactorFamily(-1, 2, power=-1))
 
 
+@lru_cache(maxsize=None)
 def _h_series(order: int) -> TruncatedSeries:
     return apply_product(TruncatedSeries.one(RATIONAL, order), _H)
 
 
+@lru_cache(maxsize=None)
 def _h_value_interval(rho: Fraction) -> Interval:
     return _enclose(rho, _H)
 

@@ -31,8 +31,7 @@ class QPoly:
     The pair is kept canonical: ``n`` has no trailing zeros, gcd(d, *n) = 1,
     and the zero polynomial is ``((), 1)``.  So equal polynomials have equal
     fields, and a polynomial with integer coefficients has d = 1.  The
-    constructor takes ints and Fractions; ``c`` reads the coefficients back
-    as Fractions.
+    constructor takes ints and Fractions.
     """
 
     __slots__ = ("n", "d")
@@ -44,11 +43,6 @@ class QPoly:
         d = lcm(*(x.denominator for x in c))
         p = _reduced([x.numerator * (d // x.denominator) for x in c], d)
         self.n, self.d = p.n, p.d
-
-    @property
-    def c(self) -> tuple:
-        """The coefficients as Fractions, lowest degree first."""
-        return tuple(Fraction(x, self.d) for x in self.n)
 
     @property
     def degree(self):
@@ -157,21 +151,21 @@ class QPoly:
         return Fraction(acc) / self.d
 
     def __str__(self):
-        c = self.c
-        if not c:
+        n, d = self.n, self.d
+        if not n:
             return "0"
         parts = []
-        for deg in range(len(c) - 1, -1, -1):
-            x = c[deg]
+        for deg in range(len(n) - 1, -1, -1):
+            x = n[deg]
             if not x:
                 continue
             neg = x < 0
             x = -x if neg else x
-            if deg == 0:
-                body = _coef_str(x)
-            else:
+            g = gcd(x, d)
+            body = _coef_str(x // g, d // g)
+            if deg:
                 var = "q" if deg == 1 else "q^%d" % deg
-                body = var if x == 1 else _coef_str(x) + var
+                body = var if x == d else body + var
             if not parts:
                 parts.append(("-" if neg else "") + body)
             else:
@@ -199,10 +193,10 @@ def _reduced(n: list, d: int) -> QPoly:
     return p
 
 
-def _coef_str(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "(%d/%d)" % (x.numerator, x.denominator)
+def _coef_str(num: int, den: int) -> str:
+    if den == 1:
+        return str(num)
+    return "(%d/%d)" % (num, den)
 
 
 def _as_qpoly(x):

@@ -7,12 +7,14 @@ evaluated at u = 1/sqrt(3)); each certified enclosure must contain its
 reference.
 """
 
+import hashlib
 from collections import Counter
 from fractions import Fraction
+from random import Random
 
 import pytest
 
-from affineclasses import classcount
+from affineclasses import bounds, classcount
 from affineclasses.bounds import (BOUND_SPECS, CONSTANT_IDS, Q_ALL, BoundSpec,
                                   Interval, certify_all, certify_constant,
                                   check_ah_theorem, check_all_bounds,
@@ -58,6 +60,22 @@ class TestInterval:
         p = a.power(3)
         assert p.lo == Fraction(1, 8) and p.hi == Fraction(27, 64)
         assert a.power(0).lo == 1 and a.power(0).hi == 1
+
+    def test_power_rejects_negative_exponent(self):
+        a = Interval(Fraction(1, 2), Fraction(3, 4))
+        for k in (-1, -2):
+            with pytest.raises(ValueError):
+                a.power(k)
+        one = Interval(0, 2).power(0)
+        assert one.lo == one.hi == 1
+
+    def test_rejects_float_endpoints(self):
+        with pytest.raises(TypeError):
+            Interval(0.1, 0.2)
+        with pytest.raises(TypeError):
+            Interval(0, 0.5)
+        with pytest.raises(TypeError):
+            Interval(0, 1) * 0.5
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -106,9 +124,91 @@ class TestGeometricProduct:
         with pytest.raises(ValueError):
             geometric_factor_product(Fraction(1, 2), FactorFamily(1, 1), terms=0)
 
+    def test_rejects_float_base(self):
+        with pytest.raises(TypeError):
+            geometric_factor_product(0.7, FactorFamily(1, 2, -1))
+
+    def test_rejects_negative_terms(self):
+        with pytest.raises(ValueError):
+            geometric_factor_product(Fraction(1, 2), FactorFamily(1, 1, 5), terms=-2)
+
+    def test_zero_terms_is_the_tail_alone(self):
+        # S = (1/3) / (1 - 1/3) = 1/2, so the product lies in [1, 2]
+        iv = geometric_factor_product(Fraction(1, 3), FactorFamily(1, 1), terms=0)
+        assert (iv.lo, iv.hi) == (1, 2)
+
     def test_rejects_coefficient_other_than_unit(self):
         with pytest.raises(ValueError):
             geometric_factor_product(Fraction(1, 2), FactorFamily(-3, 1))
+
+
+def _reference_product(t, fam, terms):
+    """The enclosure as first written: one exact factor at a time, then the
+    power by repeated multiplication; returns (lo, hi)."""
+    sign, step, offset = fam.coefficient, fam.step, fam.offset
+    invert = fam.power < 0
+    val = Fraction(1)
+    for i in range(1, terms + 1):
+        f = 1 + sign * t ** (step * i + offset)
+        val = val / f if invert else val * f
+    tail_sum = t ** (step * (terms + 1) + offset) / (1 - t ** step)
+    if tail_sum >= 1:
+        raise ValueError("truncation too short for a tail majorant")
+    if (sign > 0) != invert:
+        lo, hi = val, val / (1 - tail_sum)
+    else:
+        lo, hi = val * (1 - tail_sum), val
+    out_lo = out_hi = Fraction(1)
+    for _ in range(abs(fam.power)):
+        out_lo, out_hi = out_lo * lo, out_hi * hi
+    return out_lo, out_hi
+
+
+def _sampled_products(seed=19, count=40):
+    rng = Random(seed)
+    for _ in range(count):
+        step = rng.randint(1, 4)
+        fam = FactorFamily(rng.choice((1, -1)), step, rng.randint(1 - step, 3),
+                           power=rng.choice((-2, -1, 1, 2, 4)))
+        t = rng.choice((Fraction(1, 2), Fraction(1, 3), Fraction(2, 9),
+                        Fraction(7, 10)))
+        yield t, fam, rng.choice((1, 7, 60))
+
+
+@pytest.mark.parametrize("t,fam,terms", list(_sampled_products()))
+def test_product_matches_reference(t, fam, terms):
+    try:
+        want = _reference_product(t, fam, terms)
+    except ValueError:
+        with pytest.raises(ValueError):
+            geometric_factor_product(t, fam, terms)
+        return
+    iv = geometric_factor_product(t, fam, terms)
+    assert (iv.lo, iv.hi) == want
+
+
+def _framed(part: bytes) -> bytes:
+    return len(part).to_bytes(8, "big") + part
+
+
+def _int_bytes(x: int) -> bytes:
+    return x.to_bytes((x.bit_length() + 8) // 8, "big", signed=True)
+
+
+#: sha256 of every constant's id and exact enclosure, in CONSTANT_IDS order
+ENCLOSURES_SHA256 = \
+    "8ef7aebb03cb062f52e148d31beeed9425f339bd2d63bafd3141f35cb73a0fa7"
+
+
+def test_enclosures_pinned():
+    h = hashlib.sha256()
+    for cid in CONSTANT_IDS:
+        iv = certify_constant(cid).interval
+        h.update(_framed(cid.encode()))
+        for x in (iv.lo.numerator, iv.lo.denominator,
+                  iv.hi.numerator, iv.hi.denominator):
+            h.update(_framed(_int_bytes(x)))
+    assert h.hexdigest() == ENCLOSURES_SHA256
 
 
 class TestConstants:
@@ -326,3 +426,12 @@ class TestAHTheorem:
         row = [r for r in report["rows"] if r["n"] == 2][0]
         assert row["value"] == Fraction(31, 2)
         assert row["verdict"] == "holds"
+
+
+def test_h_enclosed_once():
+    # ao-odd-sum-53, o-odd-dim-14.2 and o-even-dim-16.3 share H(7/10)
+    for cached in (bounds._h_value_interval, bounds._h_series, certify_constant):
+        cached.cache_clear()
+    certify_all()
+    info = bounds._h_value_interval.cache_info()
+    assert (info.misses, info.hits) == (1, 2)

@@ -29,10 +29,15 @@ def series(coeffs, ring=RATIONAL, order=8):
     return TruncatedSeries.from_coeffs(coeffs, ring, order)
 
 
+def coeffs(p):
+    """A QPoly's coefficients as Fractions, lowest degree first."""
+    return tuple(Fraction(x, p.d) for x in p.n)
+
+
 class TestQPoly:
     def test_normalization(self):
-        assert QPoly([1, 2, 0, 0]).c == (Fraction(1), Fraction(2))
-        assert QPoly([0]).c == ()
+        assert coeffs(QPoly([1, 2, 0, 0])) == (Fraction(1), Fraction(2))
+        assert coeffs(QPoly([0])) == ()
         assert not QPoly()
         assert QPoly(5).degree == 0
 
@@ -41,8 +46,8 @@ class TestQPoly:
         assert p == Q * Q - 1
         assert (Q + 2) - Q == 2
         assert 3 * Q == Q + Q + Q
-        assert (Q**3).c == (0, 0, 0, 1)
-        assert (Q / 2).c == (0, Fraction(1, 2))
+        assert coeffs(Q**3) == (0, 0, 0, 1)
+        assert coeffs(Q / 2) == (0, Fraction(1, 2))
 
     def test_evaluate(self):
         p = (Q * Q + 10 * Q + 5) / 2
@@ -383,6 +388,31 @@ def _ref_eval(a, x):
     return sum((c * x**k for k, c in enumerate(a)), Fraction(0))
 
 
+def _ref_str(cs):
+    """QPoly's text as first written, from its Fraction coefficients."""
+    if not cs:
+        return "0"
+    parts = []
+    for deg in range(len(cs) - 1, -1, -1):
+        x = cs[deg]
+        if not x:
+            continue
+        neg = x < 0
+        x = -x if neg else x
+        text = str(x.numerator) if x.denominator == 1 else \
+            "(%d/%d)" % (x.numerator, x.denominator)
+        if deg == 0:
+            body = text
+        else:
+            var = "q" if deg == 1 else "q^%d" % deg
+            body = var if x == 1 else text + var
+        if not parts:
+            parts.append(("-" if neg else "") + body)
+        else:
+            parts.append((" - " if neg else " + ") + body)
+    return "".join(parts)
+
+
 def _assert_canonical(p):
     assert all(type(x) is int for x in p.n) and type(p.d) is int
     assert p.d > 0
@@ -398,11 +428,11 @@ def test_qpoly_ring_ops_match_reference(xs, ys):
     a, b = _ref(xs), _ref(ys)
     p, r = QPoly(xs), QPoly(ys)
     _assert_canonical(p)
-    assert p.c == a
+    assert coeffs(p) == a
     for got, want in ((p + r, _ref_add(a, b)), (p - r, _ref_add(a, b, -1)),
                       (p * r, _ref_mul(a, b)), (-p, _ref_add((), a, -1))):
         _assert_canonical(got)
-        assert got.c == want
+        assert coeffs(got) == want
         assert got == QPoly(want) and hash(got) == hash(QPoly(want))
 
 
@@ -412,7 +442,7 @@ def test_qpoly_scalar_division_matches_reference(xs, s):
     p = QPoly(xs)
     got = p / s
     _assert_canonical(got)
-    assert got.c == _ref(x / Fraction(s) for x in _ref(xs))
+    assert coeffs(got) == _ref(x / Fraction(s) for x in _ref(xs))
     assert got == p / QPoly(s)
     assert (p / 2) * 2 == p
     assert (got * s) == p
@@ -425,3 +455,9 @@ def test_qpoly_evaluation_matches_reference(xs, x):
     got = QPoly(xs)(x)
     assert type(got) is Fraction
     assert got == _ref_eval(_ref(xs), Fraction(x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefficient_lists)
+def test_qpoly_str_matches_reference(xs):
+    assert str(QPoly(xs)) == _ref_str(_ref(xs))
