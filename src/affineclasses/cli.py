@@ -89,11 +89,16 @@ RENDERERS = {"csv": render_csv, "json": render_json, "md": render_md}
 
 
 def _emit(text: str, out_path):
-    if out_path:
+    """Write text to out_path, or to stdout when there is none; a path that
+    cannot be written is a usage error."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise UsageError("cannot write output %s: %s" % (out_path, e))
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +471,7 @@ def cmd_verify(args) -> int:
         print("%d cases: %d passed, %d failed"
               % (len(cases), len(cases) - len(failed), len(failed)))
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _emit(json.dumps(report, indent=2) + "\n", args.out)
     return 1 if failed else 0
 
 

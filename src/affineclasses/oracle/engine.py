@@ -9,6 +9,8 @@ of (g, v) is the coset v + [g,V] of [g,V] = (g-1)V.  A state is a pair
 it to (h g h^-1, least member of h c + [h g h^-1, V]).  The G-orbits of states
 are the affine classes, each state standing for |[g,V]| elements, and there
 are |G| times (number of G-orbits on V) states rather than |G|*|V| pairs.
+The subspaces [g,V] are spanned once per conjugacy class and carried to the
+rest of the class along the conjugation tables, as [h g h^-1, V] = h [g,V].
 
 The orbit sums count, class by class, the orbits of the centralizer C(g) on
 V/[g,V].  A breadth-first walk over the class of g through the conjugation
@@ -30,7 +32,7 @@ from .field import FiniteField
 from .groups import (CapExceeded, Closure, DEFAULT_CAP, MatrixGroup,
                      build_group, expected_order, field_order, identity_perm,
                      mat_identity, mat_mul, mat_rank, mat_sub, p_compose,
-                     perm_from_matrix, points, vec_index)
+                     points, vec_index)
 
 
 def _check_table(mv: int, cap: int) -> None:
@@ -152,46 +154,64 @@ def _matrix_classes(group: MatrixGroup) -> ClassDecomposition:
     return ClassDecomposition(N, sizes, reps_idx)
 
 
+def _span(F: FiniteField, n: int, key, add, neg) -> tuple:
+    """The points of [g,V] = (g-1)V in ascending order, spanned by the
+    columns g e_j - e_j from the basis images key of g."""
+    pts = points(F, n)
+    mv = len(pts)
+    space = [0]
+    for j, c in enumerate(key):
+        w = add[c * mv + neg[F.size ** j]]
+        if w in space:
+            continue
+        # w is outside the span: the span grows by the |F| - 1 cosets of
+        # its nonzero multiples, all new
+        line = [vec_index(tuple(F.mul(k, x) for x in pts[w]), F.size)
+                for k in range(1, F.size)]
+        space += [add[x * mv + y] for x in space for y in line]
+    return tuple(sorted(space))
+
+
 def _commutator_cosets(group: MatrixGroup, add, neg):
     """The subspaces [g,V] = (g-1)V as ids 0, 1, ...: sub_of[i] is the id
     for element i; per id, the least member of every point's coset
     (labels) and those least members in ascending order (cosets).
 
-    [g,V] is spanned by the columns (g-1)e_j, so it is reached from the
-    zero subspace by adding one column at a time; each step (subspace,
-    vector) -> subspace is computed once."""
+    [h g h^-1, V] = h [g,V], so ids are carried along the conjugation
+    tables: an element with no id yet has its subspace spanned (_span), and
+    its conjugates by the generators take the images of that subspace, the
+    image of each subspace under each generator being found once."""
     F, n = group.field, group.n
-    pts = points(F, n)
-    mv = len(pts)
-    neg_basis = [neg[F.size ** j] for j in range(n)]
-    spaces = [(0,)]
-    ids = {(0,): 0}
-    steps = {}
+    N, mv = group.order, F.size ** n
+    conj = group.conj_table()
+    spaces, ids = [], {}
 
-    def extend(s, w):
-        space = spaces[s]
-        if w in space:
-            return s
-        line = [vec_index(tuple(F.mul(k, x) for x in pts[w]), F.size)
-                for k in range(1, F.size)]
-        key = tuple(sorted(set(space).union(
-            add[x * mv + y] for x in space for y in line)))
-        if key not in ids:
-            ids[key] = len(spaces)
-            spaces.append(key)
-        return ids[key]
+    def id_of(space):
+        if space not in ids:
+            ids[space] = len(spaces)
+            spaces.append(space)
+        return ids[space]
 
-    sub_of = array("i", bytes(4 * group.order))
-    for i, key in enumerate(group.images):
-        s = 0
-        for c, nb in zip(key, neg_basis):
-            w = add[c * mv + nb]
-            step = s * mv + w
-            t = steps.get(step)
-            if t is None:
-                t = steps[step] = extend(s, w)
-            s = t
-        sub_of[i] = s
+    def moved(s, h):
+        return id_of(tuple(sorted(map(h.__getitem__, spaces[s]))))
+
+    steps = [(k * N, h, {}) for k, h in enumerate(group.gen_perms)]
+    sub_of = array("i", [-1]) * N
+    for i0 in range(N):
+        if sub_of[i0] >= 0:
+            continue
+        sub_of[i0] = id_of(_span(F, n, group.images[i0], add, neg))
+        queue = [i0]
+        for x in queue:  # the queue grows while it is read
+            s = sub_of[x]
+            for off, h, image in steps:
+                y = conj[off + x]
+                if sub_of[y] < 0:
+                    t = image.get(s)
+                    if t is None:
+                        t = image[s] = moved(s, h)
+                    sub_of[y] = t
+                    queue.append(y)
 
     labels, cosets = zip(*(_cosets(space, add, mv) for space in spaces))
     return sub_of, labels, cosets
@@ -305,9 +325,8 @@ def orbit_sum_check(group: MatrixGroup, cap: int = DEFAULT_CAP):
     dec = count_classes(group)
     out = []
     for gi, size in zip(dec.rep_indices, dec.sizes):
-        pg = perm_from_matrix(F, group.elements[gi], n)
-        image = sorted({add[pg[x] * mv + neg[x]] for x in range(mv)})
-        label, cosets = _cosets(image, add, mv)
+        label, cosets = _cosets(_span(F, n, group.images[gi], add, neg),
+                                add, mv)
         cent = centralizer_generators(group, gi, size)
         seen = set()
         cnt = 0

@@ -10,10 +10,12 @@ h g by a generator is n lookups in h's table (p_compose).
 
 Every group is built one way: one breadth-first Closure of a generator
 recipe, accepted only when it reaches the standard order formula (see
-build_group).  It records the left tables L_h[i] = index(h g_i) and a tree
-in which g_j = h_k g_parent(j); right products follow by the recurrence
+build_group).  It records the left tables L_h[i] = index(h g_i) and the
+elements in runs: g_j = h_k g_parent(j) for every j in a run (a, b, k),
+with parent(j) < a.  Right products follow by the recurrence
 R_x[j] = index(g_j x) = L_k[R_x[parent(j)]] from R_x[identity] = index(x),
-so conjugation by h is i -> R_{h^-1}[L_h[i]] (MatrixGroup.conj_table).
+one slice per run, so conjugation by h is i -> R_{h^-1}[L_h[i]]
+(MatrixGroup.conj_table).
 
 Forms are fixed once, in one model: B(x, y) = sum sigma(x_i) g_ij y_j with
 sigma the identity, or x -> x^p for a hermitian form, and for an
@@ -35,7 +37,8 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import is_
 
 from ..primes import prime_power
 from .field import FiniteField, field_for_order
@@ -173,6 +176,13 @@ def p_compose(a, b):
     if isinstance(a, bytes):
         return b.translate(a)
     return tuple(map(a.__getitem__, b))
+
+
+def p_compose_all(a, bs):
+    """p_compose(a, b) for every b in bs, as one iterator."""
+    if isinstance(a, bytes):
+        return map(bytes.translate, bs, repeat(a))
+    return map(tuple, map(map, repeat(a.__getitem__), bs))
 
 
 def p_invert(a):
@@ -416,14 +426,15 @@ class Closure:
     """The group generated by point permutations, enumerated breadth-first on
     basis images (Seress, Permutation Group Algorithms, CUP 2003, ch. 4):
     keys[i] and index are element i's basis images and their inverse map,
-    element 0 is the identity, left[k][i] = index(gens[k] g_i), and element
-    j > 0 is gens[via[j]] times element parent[j] < j.  A generator added
-    later extends the closure without redoing it; passing limit raises."""
+    element 0 is the identity and left[k][i] = index(gens[k] g_i).  The
+    other elements come in runs (a, b, k): elements a..b-1 are gens[k]
+    times element parent[j] < a.  A generator added later extends the
+    closure without redoing it; passing limit raises."""
 
     def __init__(self, F: FiniteField, n: int, limit: int):
         ident = basis_images(F, mat_identity(n), n)
         self.keys, self.index = [ident], {ident: 0}
-        self.parent, self.via = array("i", [-1]), array("i", [-1])
+        self.parent, self.runs = array("i", [-1]), []
         self.gens, self.left = [], []
         self.limit = limit
 
@@ -432,24 +443,32 @@ class Closure:
         return p_compose(perm, self.keys[0])
 
     def add(self, perm) -> None:
-        keys, index, left = self.keys, self.index, self.left
+        """Close under perm as well: each generator takes the keys its left
+        table lacks in one batch, and only the products not yet indexed get
+        a step of their own."""
+        keys, index, parent = self.keys, self.index, self.parent
         self.gens.append(perm)
-        left.append(array("i"))
-        steps = list(enumerate(zip(self.gens, left)))
-        for i, g in enumerate(keys):  # keys grows while it is read
+        self.left.append(array("i"))
+        steps = list(enumerate(zip(self.gens, self.left)))
+        while any(len(table) < len(keys) for table in self.left):
             for k, (h, table) in steps:
-                if len(table) > i:
-                    continue  # g was found before h was added
-                key = p_compose(h, g)
-                j = index.setdefault(key, len(keys))
-                if j == len(keys):
-                    if j == self.limit:
-                        raise RuntimeError(
-                            "closure exceeded the expected order %d" % j)
-                    keys.append(key)
-                    self.parent.append(i)
-                    self.via.append(k)
-                table.append(j)
+                done, start = len(table), len(keys)
+                batch = list(p_compose_all(h, keys[done:start]))
+                found = list(map(index.get, batch))
+                new = list(compress(range(len(batch)),
+                                    map(is_, found, repeat(None))))
+                for i in new:
+                    # a key may occur twice in one batch
+                    j = found[i] = index.setdefault(batch[i], len(keys))
+                    if j == len(keys):
+                        if j == self.limit:
+                            raise RuntimeError(
+                                "closure exceeded the expected order %d" % j)
+                        keys.append(batch[i])
+                        parent.append(done + i)
+                table.extend(found)
+                if len(keys) > start:
+                    self.runs.append((start, len(keys), k))
 
 
 def _greedy_generators(F: FiniteField, n: int, cands, expected: int):
@@ -509,18 +528,19 @@ class MatrixGroup:
     def conj_table(self) -> array:
         """For each generator h in turn, the index map i -> index of
         h g_i h^-1, all maps back to back (map k at offset k * order): in
-        closure labels R_{h^-1} o L_h, by the tree recurrence with h^-1 from
-        gen_inverses(), relabelled to the sorted order.  The closure is
-        dropped once read."""
+        closure labels R_{h^-1} o L_h, with h^-1 from gen_inverses() and the
+        right products one slice per closure run, relabelled to the sorted
+        order.  The closure is dropped once read."""
         if self._conj_table is None:
             c, order = self._closure
-            lefts, parent, via = c.left, c.parent, c.via
+            lefts, parent = c.left, c.parent
             pos = sorted(range(self.order), key=order.__getitem__)  # order^-1
             out = array("i")
             for left, hinv in zip(lefts, self.gen_inverses()):
                 right = [c.index[c.key_of(hinv)]] * self.order
-                for j, p, k in zip(range(1, self.order), parent[1:], via[1:]):
-                    right[j] = lefts[k][right[p]]
+                for a, b, k in c.runs:  # parents lie before their run
+                    right[a:b] = map(lefts[k].__getitem__,
+                                     map(right.__getitem__, parent[a:b]))
                 out.extend([pos[right[left[i]]] for i in order])
             self._conj_table = out
             self._closure = None

@@ -339,6 +339,28 @@ class TestConfigAndEnv:
 # ---------------------------------------------------------------------------
 # verify
 
+# every subcommand that takes --out, with arguments that finish quickly
+OUT_COMMANDS = {
+    "table": ("table", "--family", "agl", "--q", "2", "--n-max", "1"),
+    "bounds": ("bounds", "--q-set", "2", "--n-max", "2"),
+    "verify": ("verify", "--suite", "identities", "--grid", "small"),
+    "oracle": ("oracle", "--family", "agl", "--q", "2", "--n", "1"),
+}
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("cmd", sorted(OUT_COMMANDS))
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_usage_error_without_traceback(self, tmp_path, capsys, cmd, where):
+        out = tmp_path / "missing" / "out" if where == "missing-dir" else tmp_path
+        code, _, err = run(capsys, *OUT_COMMANDS[cmd], "--out", str(out))
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot write output %s: " % out)
+        assert "Traceback" not in err
+
+
 class TestVerify:
     @pytest.mark.parametrize("suite", sorted(SUITES))
     def test_suites_pass_small(self, capsys, suite):

@@ -19,16 +19,18 @@ from affineclasses.oracle import (AffineGroup, CapExceeded, VERIFICATION_GRID,
                                   affine_order, build_affine, build_group,
                                   count_classes, formula_check_o,
                                   orbit_sum_check)
+from affineclasses.oracle import engine as engine_mod
 from affineclasses.oracle import field as field_mod
 from affineclasses.oracle import groups as groups_mod
 from affineclasses.oracle import kernels as kernel_mod
 from affineclasses.oracle.engine import (centralizer_generators,
                                          unipotent_partition)
 from affineclasses.oracle.field import field_for_order, finite_field
-from affineclasses.oracle.groups import (Closure, _greedy_generators,
-                                        basis_images, expected_order,
-                                        index_vec, mat_det, mat_identity,
-                                        mat_mul, mat_rank, mat_vec, p_compose,
+from affineclasses.oracle.groups import (DEFAULT_CAP, Closure,
+                                        _greedy_generators, basis_images,
+                                        expected_order, index_vec, mat_det,
+                                        mat_identity, mat_mul, mat_rank,
+                                        mat_vec, p_compose, p_compose_all,
                                         perm_from_matrix, points,
                                         preserves_form, vec_index)
 from affineclasses.partitions import d_stat
@@ -271,6 +273,40 @@ class TestBuildGroup:
         with pytest.raises(RuntimeError):
             _greedy_generators(F, 2, [(1, 1, 0, 1), (1, 0, 1, 1)], 2)
 
+    @pytest.mark.parametrize("family,n,q", [
+        ("GL", 2, 3), ("Sp", 4, 2), ("SU", 3, 2), ("SL", 2, 19)])
+    def test_closure_runs(self, family, n, q):
+        # the closure build_group keeps, generators added one at a time;
+        # SL(2,19) acts on 361 points, so its keys are tuples
+        g = build_group(family, n, q)
+        c = g._closure[0]
+        N = g.order
+        assert len(c.keys) == len(c.parent) == N
+        covered = [j for a, b, _ in sorted(c.runs) for j in range(a, b)]
+        assert covered == list(range(1, N))
+        for a, b, k in c.runs:
+            assert all(c.parent[j] < a for j in range(a, b))
+            for j in range(a, b):
+                assert c.keys[j] == p_compose(c.gens[k], c.keys[c.parent[j]])
+                assert c.left[k][c.parent[j]] == j
+        for h, table in zip(c.gens, c.left):
+            assert list(table) == [c.index[p_compose(h, key)] for key in c.keys]
+
+    @pytest.mark.parametrize("q", [3, 19])
+    def test_compose_all_matches_p_compose(self, q):
+        g = build_group("SL", 2, q)
+        for h in g.gen_perms:
+            assert list(p_compose_all(h, g.images)) == \
+                [p_compose(h, key) for key in g.images]
+
+    @pytest.mark.parametrize("q", [3, 19])
+    def test_closure_limit_raises(self, q):
+        g = build_group("SL", 2, q)
+        c = Closure(g.field, 2, g.order - 1)
+        with pytest.raises(RuntimeError, match="exceeded the expected order"):
+            for h in g.gen_perms:
+                c.add(h)
+
     def test_errors(self):
         with pytest.raises(ValueError):
             build_group("Sp", 3, 3)        # odd symplectic dimension
@@ -454,10 +490,10 @@ CLASS_DATA_DIGESTS = {
 }
 
 
-def class_data_digest(family, dim, q):
+def class_data_digest(family, dim, q, cap=DEFAULT_CAP):
     """sha256 over the sorted elements, the Gram, the matrix and affine
     class representatives and sizes, and the per-class orbit counts."""
-    ag = build_affine(family, dim, q)
+    ag = build_affine(family, dim, q, cap=cap)
     g = ag.base
     mdec, adec = count_classes(g), count_classes(ag)
     orbits, _ = orbit_sum_check(g)
@@ -475,6 +511,71 @@ class TestClassDataDigests:
     def test_class_data_unchanged(self, family, dim, q):
         assert class_data_digest(family, dim, q) == \
             CLASS_DATA_DIGESTS[(family, dim, q)]
+
+    def test_asp43_class_data_unchanged(self):
+        # the benchmark cell, 4.2 million affine elements over the default cap
+        assert class_data_digest("Sp", 4, 3, cap=8_000_000) == \
+            "0419d188c07393c974a8932cb710c8607d112bf17b4e61518627b1dac1c71cb8"
+
+
+def reference_commutator_space(group, i):
+    """labels and cosets of [g,V] for g = group.elements[i], from the
+    columns (g-1)e_j by mat_vec, reduced to echelon form; the point sets of
+    the reduced bases are kept in _SPACES."""
+    F, n, size = group.field, group.n, group.field.size
+    g = group.elements[i]
+    rows = []
+    for j in range(n):
+        e = index_vec(size ** j, size, n)
+        v = [F.sub(a, b) for a, b in zip(mat_vec(F, g, e, n), e)]
+        for r in rows:  # clear the pivots of the rows kept so far
+            p = next(k for k, x in enumerate(r) if x)
+            if v[p]:
+                c = v[p]
+                v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, r)]
+        if any(v):
+            inv = F.inv(next(x for x in v if x))
+            v = [F.mul(inv, x) for x in v]
+            p = next(k for k, x in enumerate(v) if x)
+            rows = [[F.sub(x, F.mul(r[p], y)) for x, y in zip(r, v)]
+                    for r in rows] + [v]
+    key = (id(F), n, tuple(sorted(map(tuple, rows))))
+    if key not in _SPACES:
+        space = [(0,) * n]
+        for r in rows:
+            space = [tuple(F.add(x, F.mul(c, y)) for x, y in zip(s, r))
+                     for s in space for c in range(size)]
+        space = [vec_index(s, size) for s in space]
+        pts = points(F, n)
+        label, reps = [-1] * len(pts), []
+        for v in range(len(pts)):
+            if label[v] < 0:
+                reps.append(v)
+                for s in space:
+                    w = tuple(F.add(x, y)
+                              for x, y in zip(pts[v], index_vec(s, size, n)))
+                    label[vec_index(w, size)] = v
+        _SPACES[key] = (F, label, reps)
+    return _SPACES[key][1:]
+
+
+_SPACES = {}
+
+
+class TestCommutatorCosets:
+    @pytest.mark.parametrize("family,dim,q",
+                             VERIFICATION_GRID + (("SU", 3, 2), ("SL", 2, 19)))
+    def test_every_element_against_its_columns(self, family, dim, q):
+        # SL(2,19) has 361 points: its basis images are tuples
+        g = build_group(family, dim, q)
+        add, neg = engine_mod._vector_tables(g.field, dim, DEFAULT_CAP)
+        sub_of, labels, cosets = engine_mod._commutator_cosets(g, add, neg)
+        assert len(sub_of) == g.order
+        for i in range(g.order):
+            label, reps = reference_commutator_space(g, i)
+            s = sub_of[i]
+            assert list(labels[s]) == label
+            assert list(cosets[s]) == reps
 
 
 # ---------------------------------------------------------------------------

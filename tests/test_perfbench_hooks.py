@@ -54,7 +54,8 @@ def test_runner_imports_k_asp():
 
 # Runs one workload's commands through cli.main with the tracer installed,
 # the way a traced worker does (the package imported first), and prints the
-# trace's spans, counters and missed bindings as JSON.
+# trace's spans, counters and missed bindings, and each command's stdout, as
+# JSON.
 TRACED_COMMANDS = """
 import contextlib, io, json, sys
 import affineclasses.cli as cli
@@ -64,15 +65,19 @@ with open(path) as fh:
     exec(compile(fh.read(), path, "exec"), namespace)
 tracer = namespace["Tracer"]()
 tracer.install()
-with contextlib.redirect_stdout(io.StringIO()):
-    for argv in json.loads(sys.argv[2]):
+outs = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
         cli.main(argv)
+    outs.append(out.getvalue())
 report = tracer.report()
-print(json.dumps({k: report[k] for k in ("spans", "counts", "missed")}))
+trace = {k: report[k] for k in ("spans", "counts", "missed")}
+print(json.dumps(dict(trace, stdout=outs)))
 """
 
 
-@pytest.mark.parametrize("workload", ["exact-value", "exact-symbolic"])
+@pytest.mark.parametrize("workload", ["exact-value", "exact-symbolic",
+                                      "oracle-grid", "oracle-large"])
 def test_home_targets_record_calls(workload):
     commands = RUN["workload_commands"](workload, 101)
     src = Path(__file__).resolve().parent.parent / "src"
@@ -87,3 +92,9 @@ def test_home_targets_record_calls(workload):
     silent = [name for name, homes in HOME.items() if workload in homes
               and RUN["calls_of"](trace["spans"], trace["counts"], name) == 0]
     assert silent == []
+    if workload.startswith("oracle"):
+        # the runner's own check: kernel states and representatives against
+        # the engine's counters, and one cli.main span per command
+        reports = [{"stdout": out} for out in trace["stdout"]]
+        assert RUN["self_check"](workload, trace["spans"], trace["counts"],
+                                 reports, trace["missed"]) == []
