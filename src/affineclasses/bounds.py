@@ -4,23 +4,25 @@ certificates for the numeric constants those inequalities rest on.
 Each inequality is a BoundSpec row: a table family, a characteristic, a
 bound c q^(a n + b) given as (c, a, b), a comparison mode and the known
 exceptional values, listed verbatim.  Bound checks evaluate the closed-form
-counts in exact arithmetic and compare cell by cell.  Constant
-certificates evaluate truncated infinite products (or coefficient sums) in
-exact rational arithmetic and control the tail by an explicit geometric
-majorant, so every certificate is a rigorous enclosure [lower, upper]; the
-certificate holds only when the upper end is at most the claimed constant.
+counts in exact arithmetic and compare cell by cell.  Each numeric
+constant is a _CONSTANTS row: its claim and its enclosure, mostly (q, terms),
+weights in apply_weight's (c, k, j) vocabulary times FactorFamily products
+at u = 1/q, else a coefficient sum or a combine step on ingredient rows.
+Products and sums are truncated exactly and their tails bounded by a
+geometric majorant, so every certificate is a rigorous enclosure [lower,
+upper]; it holds only when the upper end is at most the claimed constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .classcount import affine_counts, characteristic, k_ah
 from .primes import divisors
 from .series import (RATIONAL, FactorFamily, TruncatedSeries, apply_product,
-                     geometric)
+                     exact, geometric)
 
 Q_ALL = (2, 3, 4, 5, 7, 8, 9)
 DEFAULT_N_MAX = 25
@@ -217,20 +219,13 @@ def check_ah_theorem(q_set=Q_ALL, n_max=DEFAULT_N_MAX):
 # ---------------------------------------------------------------------------
 # exact product enclosures
 
-def _exact(x) -> Fraction:
-    if not isinstance(x, (int, Fraction)):
-        raise TypeError("exact bounds take ints and Fractions, not %s"
-                        % type(x).__name__)
-    return Fraction(x)
-
-
 class Interval:
     """A closed interval with exact rational endpoints."""
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        lo, hi = _exact(lo), _exact(hi)
+        lo, hi = exact(lo), exact(hi)
         if lo > hi:
             raise ValueError("empty interval")
         self.lo, self.hi = lo, hi
@@ -279,7 +274,7 @@ def geometric_factor_product(t: Fraction, fam: FactorFamily,
     sign, step, offset = fam.coefficient, fam.step, fam.offset
     if sign not in (1, -1):
         raise ValueError("enclosures need a coefficient of +1 or -1")
-    t = _exact(t)
+    t = exact(t)
     if not 0 < t < 1:
         raise ValueError("t must be in (0,1)")
     if terms < 0:
@@ -367,48 +362,13 @@ class ConstantReport:
             float(self.interval.lo), float(self.interval.hi), self.ok)
 
 
-def _reciprocal(q):
-    return Fraction(1, q)
-
-
-# Each builder returns (claimed value, enclosure); the constant's id
-# is its key in _CONSTANTS.
-
-def _const_pentagonal():
-    return Fraction(12, 5), geometric_factor_product(_reciprocal(2), FactorFamily(1, 1))
-
-
-def _const_agu_master():
-    q = 2
-    iv = _enclose(_reciprocal(q), [FactorFamily(1, 1), FactorFamily(-1, 1, power=-1)])
-    iv = iv * (1 + Fraction(1, 1) / (1 - Fraction(1, q * q)))
-    return 20, iv
-
-
-def _const_asp_odd_master():
-    q = 3
-    iv = _enclose(_reciprocal(q), [FactorFamily(1, 1, power=4),
-                                   FactorFamily(-1, 1, power=-1)])
-    iv = iv * (1 + Fraction(1, 1) / (1 - Fraction(1, q)))
-    return 27, iv
-
-
-def _const_asp_even_master():
-    q = 2
-    t = _reciprocal(q)
-    common = _enclose(t, [FactorFamily(1, 1), FactorFamily(-1, 1, power=-1)])
-    first = geometric_factor_product(t, FactorFamily(-1, 4, -2, power=-2))
-    second = geometric_factor_product(t, FactorFamily(1, 2, -1, power=2)) \
-        * (1 - Fraction(1, q))
-    iv = Fraction(1, 1) / (1 - t) * (common * (first + second))
-    return 56, iv
-
-
-def _const_ao_diff(q, claimed):
-    t = _reciprocal(q)
-    iv = _enclose(t, [FactorFamily(1, 2, -1), FactorFamily(-1, 2, -1, power=-1)])
-    iv = iv * (Fraction(1, 1) / (1 - t))
-    return claimed, iv
+def _products(q: int, terms) -> Interval:
+    """Enclosure at u = 1/q of the sum of weight * product of families over
+    terms (weight, families); weights are (c, k, j) terms as in apply_weight."""
+    t = Fraction(1, q)
+    return sum(_enclose(t, families)
+               * sum(c * t**k / (1 - t**j if j else 1) for c, k, j in weight)
+               for weight, families in terms)
 
 
 def _const_ao_odd_sum():
@@ -422,11 +382,10 @@ def _const_ao_odd_sum():
     f = h * extra * poly
     rho = Fraction(7, 10)
     f_rho = _h_value_interval(rho) * ((1 + (q - 1) * rho) / (1 - rho * rho))
-    iv = _coefficient_sum(f.coeff, q, 0, f_rho, rho, T)
-    return 53, iv
+    return _coefficient_sum(f.coeff, q, 0, f_rho, rho, T)
 
 
-def _const_o_classical(parity, claimed):
+def _const_o_classical(parity):
     # sum over indices of the given parity of H coefficients at weight
     # q^-m, q = 3, halved for odd dimension
     q = 3
@@ -434,47 +393,52 @@ def _const_o_classical(parity, claimed):
     h = _h_series(T)
     rho = Fraction(7, 10)
     iv = _coefficient_sum(h.coeff, q, parity, _h_value_interval(rho), rho, T)
-    if parity:
-        iv = iv * Fraction(1, 2)
-    return claimed, iv
+    return iv * Fraction(1, 2) if parity else iv
 
 
-def _const_ao_even_sum():
-    q = 2
-    t = _reciprocal(q)
-    p1 = _enclose(t, [FactorFamily(1, 1), FactorFamily(1, 2, -1, power=2),
-                      FactorFamily(-1, 1, power=-1)])
-    p2 = _enclose(t, [FactorFamily(-1, 4), FactorFamily(-1, 4, -2, power=-1),
-                      FactorFamily(-1, 1, power=-2)])
-    iv = Fraction(1, 1) / (1 - t) * (p1 + Fraction(4 * (q - 1), q) * p2)
+def _mean_of_claims(*ids):
+    # a combine step on the claimed values of its ingredient rows
+    val = sum(Fraction(_CONSTANTS[cid][0]) for cid in ids) / len(ids)
+    return Interval(val, val)
+
+
+_ONE = ((1, 0, 0),)                       # the weight 1
+_GEOMETRIC = ((1, 0, 1),)                 # the weight 1/(1-u)
+_OVERPARTITIONS = [FactorFamily(1, 1),    # prod (1+u^i)/(1-u^i)
+                   FactorFamily(-1, 1, power=-1)]
+_AO_DIFF = [(_GEOMETRIC, [FactorFamily(1, 2, -1),
+                          FactorFamily(-1, 2, -1, power=-1)])]
+
+# Each row is (claimed value, evaluator, *arguments); the evaluator's
+# result on the arguments is the enclosure.  A product row evaluates
+# _products(q, terms); a combine row names its ingredient ids.
+_CONSTANTS = {
+    "doubling-product-2.4": (Fraction(12, 5), _products, 2,
+                             [(_ONE, [FactorFamily(1, 1)])]),
+    "agu-master-20": (20, _products, 2,
+                      [(((1, 0, 0), (1, 0, 2)), _OVERPARTITIONS)]),
+    "asp-odd-master-27": (27, _products, 3, [
+        (((1, 0, 0), (1, 0, 1)),
+         [FactorFamily(1, 1, power=4), FactorFamily(-1, 1, power=-1)])]),
+    "asp-even-master-56": (56, _products, 2, [
+        (_GEOMETRIC, _OVERPARTITIONS + [FactorFamily(-1, 4, -2, power=-2)]),
+        (_ONE, _OVERPARTITIONS + [FactorFamily(1, 2, -1, power=2)])]),
+    "ao-odd-sum-53": (53, _const_ao_odd_sum),
+    "ao-odd-diff-3.3": (Fraction(33, 10), _products, 3, _AO_DIFF),
+    "ao-odd-combine-29": (29, _mean_of_claims, "ao-odd-sum-53",
+                          "ao-odd-diff-3.3"),
+    "o-odd-dim-14.2": (Fraction(71, 5), _const_o_classical, 1),
+    "o-even-dim-16.3": (Fraction(163, 10), _const_o_classical, 0),
     # the lower end of the enclosure already exceeds the claimed 111.6, so
     # the claim fails as stated; the grid cells still confirm 60 q^n
-    return Fraction(558, 5), iv
-
-
-def _const_ao_odd_combine():
-    val = Fraction(53 + Fraction(33, 10), 2)
-    return 29, Interval(val, val)
-
-
-def _const_ao_even_combine():
-    val = Fraction(Fraction(558, 5) + Fraction(42, 5), 2)
-    return 60, Interval(val, val)  # on the claimed ingredients
-
-
-_CONSTANTS = {
-    "doubling-product-2.4": _const_pentagonal,
-    "agu-master-20": _const_agu_master,
-    "asp-odd-master-27": _const_asp_odd_master,
-    "asp-even-master-56": _const_asp_even_master,
-    "ao-odd-sum-53": _const_ao_odd_sum,
-    "ao-odd-diff-3.3": partial(_const_ao_diff, 3, Fraction(33, 10)),
-    "ao-odd-combine-29": _const_ao_odd_combine,
-    "o-odd-dim-14.2": partial(_const_o_classical, 1, Fraction(71, 5)),
-    "o-even-dim-16.3": partial(_const_o_classical, 0, Fraction(163, 10)),
-    "ao-even-sum-111.6": _const_ao_even_sum,
-    "ao-even-diff-8.4": partial(_const_ao_diff, 2, Fraction(42, 5)),
-    "ao-even-combine-60": _const_ao_even_combine,
+    "ao-even-sum-111.6": (Fraction(558, 5), _products, 2, [
+        (_GEOMETRIC, [FactorFamily(1, 1), FactorFamily(1, 2, -1, power=2),
+                      FactorFamily(-1, 1, power=-1)]),
+        (((4, 0, 0),), [FactorFamily(-1, 4), FactorFamily(-1, 4, -2, power=-1),
+                        FactorFamily(-1, 1, power=-2)])]),
+    "ao-even-diff-8.4": (Fraction(42, 5), _products, 2, _AO_DIFF),
+    "ao-even-combine-60": (60, _mean_of_claims, "ao-even-sum-111.6",
+                           "ao-even-diff-8.4"),
 }
 
 CONSTANT_IDS = tuple(_CONSTANTS)
@@ -483,10 +447,10 @@ CONSTANT_IDS = tuple(_CONSTANTS)
 @lru_cache(maxsize=None)
 def certify_constant(const_id: str) -> ConstantReport:
     try:
-        builder = _CONSTANTS[const_id]
+        claimed, evaluate, *args = _CONSTANTS[const_id]
     except KeyError:
         raise KeyError("unknown constant id %r" % (const_id,)) from None
-    return ConstantReport(const_id, *builder())
+    return ConstantReport(const_id, claimed, evaluate(*args))
 
 
 def certify_all():

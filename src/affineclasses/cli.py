@@ -233,8 +233,10 @@ def cmd_table(args) -> int:
         if n_max < 1:
             raise UsageError("--n-max must be at least 1")
 
-        if args.methods:
+        if args.methods is not None:
             methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+            if not methods:
+                raise UsageError("--methods names no route")
             for m in methods:
                 if m not in METHOD_ORDER:
                     raise UsageError("unknown method %r" % (m,))

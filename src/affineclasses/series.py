@@ -4,7 +4,8 @@ Two coefficient rings: rationals, held as ints or Fractions, and QPoly,
 polynomials in a formal prime power q held as integer numerators over one
 common denominator.  So both rings compute on ints where they can: a rational
 coefficient stays an int unless a Fraction goes into it.  Everything is
-exact; a float is refused, never converted.
+exact: both rings, QPoly itself and evaluate_q refuse a float (TypeError),
+never convert it.
 Series keep a fixed truncation order and all binary operations truncate to
 the smaller order of the two operands.
 
@@ -39,7 +40,7 @@ class QPoly:
     def __init__(self, coeffs=()):
         if isinstance(coeffs, (int, Fraction)):
             coeffs = (coeffs,)
-        c = [Fraction(x) for x in coeffs]
+        c = [exact(x) for x in coeffs]
         d = lcm(*(x.denominator for x in c))
         p = _reduced([x.numerator * (d // x.denominator) for x in c], d)
         self.n, self.d = p.n, p.d
@@ -98,7 +99,7 @@ class QPoly:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _as_qpoly(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
         other = _as_qpoly(other)
@@ -124,7 +125,7 @@ class QPoly:
             if not other.is_constant():
                 raise ZeroDivisionError("QPoly division only by constants")
             other = other.constant()
-        s = Fraction(other)
+        s = exact(other)
         if not s:
             raise ZeroDivisionError("QPoly division by zero")
         num, den = s.numerator, s.denominator
@@ -142,7 +143,7 @@ class QPoly:
 
     def __call__(self, q0):
         """Evaluate at a concrete value q0, exactly."""
-        q0 = Fraction(q0)
+        q0 = exact(q0)
         if q0.denominator == 1:
             q0 = q0.numerator
         acc = 0
@@ -174,6 +175,14 @@ class QPoly:
 
     def __repr__(self):
         return "QPoly(%s)" % (self,)
+
+
+def exact(x) -> Fraction:
+    """x as a Fraction, for an int or a Fraction; anything else (a float)
+    raises TypeError."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError("exact arithmetic takes ints and Fractions, not %r" % (x,))
+    return Fraction(x)
 
 
 def _reduced(n: list, d: int) -> QPoly:
@@ -217,7 +226,8 @@ def evaluate_q(p, q0) -> Fraction:
     """Substitute a concrete prime power q0 into a QPoly (or pass a scalar through)."""
     if isinstance(p, QPoly):
         return p(q0)
-    return Fraction(p)
+    exact(q0)  # refused here too when it is a float
+    return exact(p)
 
 
 def _coerce(ring, x):
@@ -229,7 +239,11 @@ def _coerce(ring, x):
             return x.constant()
         raise TypeError("a rational series holds ints and Fractions, not %r" % (x,))
     if ring == QPOLY:
-        return _as_qpoly(x)
+        p = _as_qpoly(x)
+        if p is NotImplemented:
+            raise TypeError("a q-polynomial series holds ints, Fractions and "
+                            "QPolys, not %r" % (x,))
+        return p
     raise ValueError("unknown ring %r" % (ring,))
 
 

@@ -192,6 +192,7 @@ class TestTableUsageErrors:
         ("table", "--family", "ao-odd", "--symbolic-q", "--char", "even"),
         ("table", "--family", "asp", "--q", "4", "--methods", "orbit-assembly"),
         ("table", "--family", "agl", "--q", "2", "--methods", "sorcery"),
+        ("table", "--family", "agl", "--q", "2", "--methods", " , "),
         ("table", "--family", "agl", "--symbolic-q", "--methods", "oracle"),
         ("table", "--family", "agl", "--q", "2", "--n-max", "0"),
         ("table", "--family", "agl", "--q", "15"),            # not a prime power
@@ -493,6 +494,15 @@ class TestBounds:
         assert payload["ah"]["ok"] is True
         bad = [c for c in payload["constants"] if not c["ok"]]
         assert [c["id"] for c in bad] == ["ao-even-sum-111.6"]
+
+    def test_constants_json_pinned(self, capsys):
+        # reference.json replays the text form of this command; the JSON
+        # form prints the enclosures' endpoints as floats
+        code, out, _ = run(capsys, "bounds", "--q-set", "2,3,4,5,7,8,9",
+                           "--n-max", "25", "--constants", "--format", "json")
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "84cc102c8c0dd344128cb714f1d92836678cda0dca281c6be6b1e87af0160190")
 
     def test_json_without_constants(self, capsys):
         code, out, _ = run(capsys, "bounds", "--q-set", "3", "--n-max", "6",

@@ -1,0 +1,43 @@
+"""Every name a module under src/ imports is used in that module.
+
+A stand-in for a linter's unused-import rule, on the standard library's
+ast alone.  Package __init__ files are skipped, since their imports are
+re-exports, and so is `from __future__`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """(line, name) of every imported name that no Name node reads; an
+    attribute chain such as os.path.join starts with the Name os."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, (a.asname or a.name).split(".")[0])
+                         for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for line, name in imported if name not in used)
+
+
+def test_checker_finds_unused_imports():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "from fractions import Fraction as F, gcd\n"
+              "x: F = os.path.sep\n")
+    assert unused_imports(source) == [(3, "gcd")]
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

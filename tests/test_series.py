@@ -101,6 +101,19 @@ class TestOps:
         with pytest.raises(TypeError):
             series([1, 2]) * 0.5
 
+    def test_qpoly_ring_refuses_floats(self):
+        for make in (lambda: TruncatedSeries.from_coeffs([0.5], QPOLY, 2),
+                     lambda: QPoly((0.1,)),
+                     lambda: QPoly(0.5),
+                     lambda: Q / 0.5,
+                     lambda: 0.5 - Q,
+                     lambda: Q(2.5),
+                     lambda: evaluate_q(Q, 2.0),
+                     lambda: evaluate_q(0.1, 2),
+                     lambda: evaluate_q(7, 2.0)):
+            with pytest.raises(TypeError):
+                make()
+
     def test_a_coefficient_is_a_fraction_only_if_one_went_into_it(self):
         s = series([1, 2], order=3) * series([1, 0, Fraction(1, 2)], order=3)
         assert s.coeffs == (1, 2, Fraction(1, 2), 1)
