@@ -15,7 +15,7 @@ upper]; it holds only when the upper end is at most the claimed constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -48,25 +48,19 @@ def k_ao_even_dim(q: int, n: int, plus: bool) -> int:
 # ---------------------------------------------------------------------------
 # bound specifications and the per-cell checker
 
-@dataclass
-class BoundSpec:
+class BoundSpec(namedtuple("BoundSpec", "id family characteristic bound mode "
+                                        "exceptions n_min n_last count",
+                           defaults=("le", {}, 1, None, None))):
     """One corollary-level inequality as a row: the count k(n, q) of a table
     family (affine_counts), its characteristic ("odd", "even" or "any"),
     bound = (c, a, b) for c q^(a n + b), and a mode: "le" for k <= bound,
     "eq" for k = bound, "window" for q^(a n + b) < k < c q^(a n + b).
     Cells n_min..n_last (n_max when n_last is None) are checked; the
     exceptions {(n, q): value} are listed verbatim.  count(q, n_max), when
-    given, replaces affine_counts for the counts n = 0..n_max."""
+    given, replaces affine_counts for the counts n = 0..n_max.  The default
+    exceptions {} is one shared dict, which nothing mutates."""
 
-    id: str
-    family: str
-    characteristic: str
-    bound: tuple
-    mode: str = "le"
-    exceptions: dict = field(default_factory=dict)
-    n_min: int = 1
-    n_last: int = None
-    count: object = None
+    __slots__ = ()
 
     def q_set(self, qs):
         if self.characteristic == "odd":

@@ -24,14 +24,18 @@ piece, is a weight (c, k, j) times such products (apply_weight).  The
 recursions are one recurrence table: per affine family, the shift of its
 self term and its classical terms (G, c, k).
 
-affine_counts reads table rows n = 0..n_max (row_index, row_dimension) off
-the closed-form series; recursion_counts and orbit_counts read the same rows
-off the other two routes, each from its own series.
+TABLE_FAMILIES holds one row per table family: its oracle group, its
+dimension a n + b as (a, b), and the affine series its rows read (None for
+the orthogonal families, which split AO-sum and AO-diff).  affine_counts
+reads rows n = 0..n_max (row_index, row_dimension) off the closed-form
+series of order series_order; recursion_counts and orbit_counts read the
+same rows off the other two routes.  Orbit assembly runs in both
+characteristics for ORBIT_BOTH_CHARS, in odd characteristic otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -49,17 +53,14 @@ from .series import (
 )
 
 AFFINE_FAMILIES = ("AGL", "AGU", "ASp", "AO-sum", "AO-diff")
+ORBIT_BOTH_CHARS = ("AGL", "AGU")
 
 
-@dataclass(frozen=True)
-class OrbitPieces:
+class OrbitPieces(namedtuple("OrbitPieces", "family T1 T2 T3")):
     """The three orbit-count partial sums whose combination counts affine
     classes: T1 sums 1 per class, T2 and T3 the two statistic terms."""
 
-    family: str
-    T1: TruncatedSeries
-    T2: TruncatedSeries
-    T3: TruncatedSeries
+    __slots__ = ()
 
     def total(self) -> TruncatedSeries:
         if self.family == "AGU":
@@ -235,43 +236,53 @@ def ao_split(sums, diffs) -> tuple:
 # ---------------------------------------------------------------------------
 # counts per table row
 
-#: table families read off one series; the orthogonal ones ("ao-plus",
-#: "ao-minus", "ao-odd") split the AO-sum and AO-diff series
-_ONE_SERIES = {"agl": "AGL", "agu": "AGU", "asp": "ASp"}
-TABLE_FAMILIES = ("agl", "agu", "asp", "ao-plus", "ao-minus", "ao-odd")
+#: table family -> (oracle group G, a, b, affine series): row n is "A" + G
+#: in dimension a n + b; the orthogonal families have no series of their own
+TABLE_FAMILIES = {
+    "agl": ("GL", 1, 0, "AGL"), "agu": ("GU", 1, 0, "AGU"),
+    "asp": ("Sp", 2, 0, "ASp"), "ao-plus": ("O+", 2, 0, None),
+    "ao-minus": ("O-", 2, 0, None), "ao-odd": ("O", 2, 1, None),
+}
+
+
+def _row(family: str) -> tuple:
+    if family not in TABLE_FAMILIES:
+        raise ValueError("unknown table family %r" % (family,))
+    return TABLE_FAMILIES[family]
 
 
 def row_dimension(family: str, n: int) -> int:
-    """Dimension of table row n: n for agl/agu, 2n for asp/ao-plus/ao-minus
-    and 2n+1 for ao-odd."""
-    if family in ("agl", "agu"):
-        return n
-    return 2 * n + 1 if family == "ao-odd" else 2 * n
+    """Dimension a n + b of table row n."""
+    _, a, b, _ = _row(family)
+    return a * n + b
 
 
 def row_index(family: str, ch: str, n: int) -> int:
     """Series coefficient index of table row n.  The orthogonal series are
     indexed by the full dimension in odd characteristic and by half of it in
     even characteristic; the others by n."""
-    if family in _ONE_SERIES or ch == "even":
-        return n
-    return row_dimension(family, n)
+    return n if _row(family)[3] or ch == "even" else row_dimension(family, n)
+
+
+def series_order(family: str, ch: str, n_max: int) -> int:
+    """Order of the series that rows 0..n_max of a table family are read
+    off: n_max, or the one order all three orthogonal families share."""
+    return n_max if _row(family)[3] else row_index("ao-odd", ch, n_max)
 
 
 def _rows(family: str, q, n_max: int, ch: str, coeffs) -> tuple:
     """Rows n = 0..n_max of a table family from one route, where
     coeffs(affine_family, ch, order) gives that route's coefficients
     0..order.  agl/agu/asp read one sequence; the orthogonal families split
-    the AO-sum and AO-diff sequences, whose order all three share."""
-    if family not in TABLE_FAMILIES:
-        raise ValueError("unknown table family %r" % (family,))
+    the AO-sum and AO-diff sequences."""
+    series = _row(family)[3]
     ch = characteristic(q, ch)
     if family == "ao-odd" and ch == "even":
         raise ValueError("odd-dimensional orthogonal groups need odd q")
-    if family in _ONE_SERIES:
-        seq = _values(coeffs(_ONE_SERIES[family], ch, n_max), isinstance(q, QPoly))
+    order = series_order(family, ch, n_max)
+    if series:
+        seq = _values(coeffs(series, ch, order), isinstance(q, QPoly))
     else:
-        order = row_index("ao-odd", ch, n_max)
         plus, minus = ao_split(coeffs("AO-sum", ch, order),
                                coeffs("AO-diff", ch, order))
         seq = minus if family == "ao-minus" else plus
@@ -319,7 +330,7 @@ def orbit_built_series(family: str, q, order: int = DEFAULT_ORDER,
     ch = characteristic(q, ch)
     if family not in AFFINE_FAMILIES:
         raise ValueError("unknown orbit family %r" % (family,))
-    if family not in ("AGL", "AGU") and ch != "odd":
+    if family not in ORBIT_BOTH_CHARS and ch != "odd":
         raise ValueError("orbit assembly of %s needs odd q" % family)
     t1 = _classical(family[1:], ch, q, order)  # AGL -> GL, ..., AO-diff -> O-diff
     w2, w3 = {

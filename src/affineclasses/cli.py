@@ -19,14 +19,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds as bounds_mod
-from .classcount import (AFFINE_FAMILIES, affine_counts, affine_recursive,
-                         affine_series, characteristic, classical_series, k_ah,
+from .classcount import (AFFINE_FAMILIES, ORBIT_BOTH_CHARS, TABLE_FAMILIES,
+                         affine_counts, affine_recursive, affine_series,
+                         characteristic, classical_series, k_ah,
                          necklace_product, orbit_built_series, orbit_counts,
-                         recursion_counts, row_dimension, sp_even_proof_form)
+                         recursion_counts, row_dimension, series_order,
+                         sp_even_proof_form)
 from .oracle import (CapExceeded, DEFAULT_CAP, VERIFICATION_GRID, AffineGroup,
                      affine_order, build_affine, build_group, count_classes,
                      formula_check_o, orbit_sum_check)
@@ -45,44 +46,22 @@ class UsageError(Exception):
 CSV_COLUMNS = ("family", "char", "n", "dim", "q", "method", "value", "status")
 
 
-@dataclass
-class OutputRecord:
-    family: str
-    characteristic: str
-    n: int
-    dimension: int
-    q: str
-    method: str
-    value: str
-    status: str
-
-    def to_dict(self):
-        return {"family": self.family, "char": self.characteristic,
-                "n": self.n, "dim": self.dimension, "q": self.q,
-                "method": self.method, "value": self.value,
-                "status": self.status}
+def _text_rows(records) -> list:
+    return [list(CSV_COLUMNS)] + [[str(v) for v in r.values()] for r in records]
 
 
 def render_csv(records) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        d = r.to_dict()
-        lines.append(",".join(str(d[c]) for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(row) + "\n" for row in _text_rows(records))
 
 
 def render_json(records) -> str:
-    return json.dumps([r.to_dict() for r in records], indent=2) + "\n"
+    return json.dumps(records, indent=2) + "\n"
 
 
 def render_md(records) -> str:
-    head = "| " + " | ".join(CSV_COLUMNS) + " |"
-    rule = "|" + "|".join(" --- " for _ in CSV_COLUMNS) + "|"
-    lines = [head, rule]
-    for r in records:
-        d = r.to_dict()
-        lines.append("| " + " | ".join(str(d[c]) for c in CSV_COLUMNS) + " |")
-    return "\n".join(lines) + "\n"
+    rows = _text_rows(records)
+    rows.insert(1, ["---"] * len(CSV_COLUMNS))
+    return "".join("| " + " | ".join(row) + " |\n" for row in rows)
 
 
 RENDERERS = {"csv": render_csv, "json": render_json, "md": render_md}
@@ -164,38 +143,24 @@ def resolve_cap(flag_value, cfg) -> int:
 
 METHOD_ORDER = ("closed-form", "recursion", "orbit-assembly", "oracle")
 
-TABLE_FAMILIES = {
-    "agl": ("AGL", "GL"),
-    "agu": ("AGU", "GU"),
-    "asp": ("ASp", "Sp"),
-    "ao-plus": ("AO+", "O+"),
-    "ao-minus": ("AO-", "O-"),
-    "ao-odd": ("AO", "O"),
-}
-
 
 def _orbit_supported(fam: str, ch: str) -> bool:
-    return fam in ("agl", "agu") or ch == "odd"
+    return TABLE_FAMILIES[fam][3] in ORBIT_BOTH_CHARS or ch == "odd"
 
 
 def oracle_values(fam: str, q: int, n_max: int, cap: int):
-    oracle_family = TABLE_FAMILIES[fam][1]
-    out = []
-    for n in range(1, n_max + 1):
-        ag = build_affine(oracle_family, row_dimension(fam, n), q, cap=cap)
-        out.append(count_classes(ag).k)
-    return out
+    group = TABLE_FAMILIES[fam][0]
+    return [count_classes(build_affine(group, row_dimension(fam, n), q, cap=cap)).k
+            for n in range(1, n_max + 1)]
 
 
-def _check_series_cap(n_max: int, odd_orthogonal: bool, cap: int):
+def _check_series_cap(n_max: int, order: int, cap: int):
     """Refuse, from integers and before any series is built, a run whose
-    longest series would hold more coefficients than the cap.  A series of
-    order N holds N + 1; the longest order is n_max, or 2 n_max + 1 for the
-    orthogonal families in odd characteristic, indexed by dimension."""
-    longest = 2 * n_max + 2 if odd_orthogonal else n_max + 1
-    if longest > cap:
+    longest series, of order `order` (series_order), holds more than cap
+    coefficients."""
+    if order + 1 > cap:
         raise CapExceeded("n_max %d needs a series of %d coefficients, which "
-                          "exceeds cap %d" % (n_max, longest, cap))
+                          "exceeds cap %d" % (n_max, order + 1, cap))
 
 
 def _route_values(method, fam, ch, q, n_max, cap):
@@ -214,7 +179,7 @@ def _route_values(method, fam, ch, q, n_max, cap):
 def cmd_table(args) -> int:
     cfg = load_config(args.config)
     fam = args.family
-    display, _ = TABLE_FAMILIES[fam]
+    display = "A" + TABLE_FAMILIES[fam][0]
 
     if args.symbolic_q:
         if args.q is not None:
@@ -253,14 +218,15 @@ def cmd_table(args) -> int:
 
         cap = resolve_cap(args.cap, cfg)
         if methods != ["oracle"]:
-            _check_series_cap(n_max, fam.startswith("ao") and ch == "odd", cap)
+            _check_series_cap(n_max, series_order(fam, ch, n_max), cap)
         values = {m: _route_values(m, fam, ch, q, n_max, cap) for m in methods}
     except ValueError as e:
         raise UsageError(str(e))
     # a row is ok when every route that ran gives the same value at its n
     agree = [all(v == row[0] for v in row) for row in zip(*values.values())]
-    records = [OutputRecord(display, ch, n, row_dimension(fam, n), q_label,
-                            method, str(value), "ok" if agree[n - 1] else "MISMATCH")
+    # a record is a dict keyed by CSV_COLUMNS, in that order
+    records = [dict(zip(CSV_COLUMNS, (display, ch, n, row_dimension(fam, n), q_label, method,
+                                      str(value), "ok" if agree[n - 1] else "MISMATCH")))
                for method, vals in values.items() for n, value in enumerate(vals, 1)]
 
     fmt = args.format or cfg.get("format") or "csv"
@@ -356,7 +322,7 @@ def suite_cross_method(grid: str):
     for family in AFFINE_FAMILIES:
         # the case names keep the odd-characteristic suffix of the families
         # that are assembled only there
-        name = family if family in ("AGL", "AGU") else family + "-odd"
+        name = family if family in ORBIT_BOTH_CHARS else family + "-odd"
         total = orbit_built_series(family, Q, order).total()
         series = affine_series(family, Q, order)
         cases.append(_case("cross-method/orbit-%s-symbolic" % name,
@@ -364,9 +330,11 @@ def suite_cross_method(grid: str):
     return cases
 
 
-def _grid_expected(family, dim, q):
-    fam = next(f for f, (_, g) in TABLE_FAMILIES.items() if g == family)
-    n = dim if fam in ("agl", "agu") else dim // 2
+def _grid_expected(group, dim, q):
+    """k of the affine group of an oracle cell, off its table family's row."""
+    fam, (_, a, b, _) = next(
+        (f, row) for f, row in TABLE_FAMILIES.items() if row[0] == group)
+    n = (dim - b) // a
     return affine_counts(fam, q, n)[n]
 
 
@@ -497,9 +465,11 @@ def cmd_bounds(args) -> int:
         raise UsageError("--n-max must be at least 1")
 
     try:
-        # every q is checked first; the orthogonal specs run at each odd one
+        # every q is checked first; the cap bounds every row's longest series
         chars = {characteristic(q) for q in q_set}
-        _check_series_cap(args.n_max, "odd" in chars, resolve_cap(None, cfg))
+        order = max(series_order(f, ch, args.n_max)
+                    for f in TABLE_FAMILIES for ch in chars)
+        _check_series_cap(args.n_max, order, resolve_cap(None, cfg))
         reports = bounds_mod.check_all_bounds(q_set, args.n_max)
         ah = bounds_mod.check_ah_theorem(q_set, args.n_max)
     except ValueError as e:

@@ -30,8 +30,10 @@ def prime_power(q: int) -> tuple[int, int]:
 
 
 def divisors(m: int) -> list:
-    """The positive divisors of m >= 1, ascending."""
-    return [d for d in range(1, m + 1) if m % d == 0]
+    """The positive divisors of m >= 1, ascending: each d <= sqrt(m) paired
+    with m // d."""
+    small = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
+    return small + [m // d for d in reversed(small) if d * d != m]
 
 
 def moebius(e: int) -> int:

@@ -21,10 +21,11 @@ from affineclasses.classcount import (
     recursion_counts,
     row_dimension,
     row_index,
+    series_order,
     sp_even_proof_form,
 )
 from affineclasses.partitions import lemma_rhs
-from affineclasses.primes import moebius
+from affineclasses.primes import divisors, moebius
 from affineclasses.series import (
     Q,
     QPOLY,
@@ -108,8 +109,30 @@ class TestRows:
         with pytest.raises(ValueError):
             affine_counts("asl", 3, 2)
 
+    @pytest.mark.parametrize("call", [
+        lambda: row_dimension("AGL", 3),  # a series name, not a table family
+        lambda: row_dimension("foo", 3),
+        lambda: row_index("foo", "odd", 1),
+        lambda: row_index("AGL", "odd", 3),
+        lambda: series_order("asl", "odd", 3),
+    ])
+    def test_unknown_names_raise(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_series_order(self):
+        # the orthogonal families share the order of ao-odd's last row
+        assert [series_order(f, "odd", 3) for f in TABLE_FAMILIES] == [3, 3, 3, 7, 7, 7]
+        assert [series_order(f, "even", 3) for f in TABLE_FAMILIES] == [3] * 6
+
 
 class TestNecklace:
+    def test_divisors(self):
+        for m in range(1, 3001):
+            assert divisors(m) == [d for d in range(1, m + 1) if m % d == 0], m
+        # pairs each d <= sqrt(m) with m // d; trying every d takes a minute
+        assert divisors(1_000_000_006) == [1, 2, 500000003, 1000000006]
+
     def test_moebius(self):
         assert [moebius(e) for e in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
         with pytest.raises(ValueError):

@@ -15,9 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affineclasses import cli
+from affineclasses.classcount import affine_counts, row_dimension
 from affineclasses.cli import (CAP_ENV, CSV_COLUMNS, ORACLE_FAMILIES, SUITES,
                                TABLE_FAMILIES, main)
+from affineclasses.oracle import VERIFICATION_GRID
 from affineclasses.oracle import field as field_mod
+from affineclasses.oracle.groups import GROUP_FAMILIES
 from affineclasses.series import TruncatedSeries
 
 
@@ -164,6 +167,20 @@ class TestTable:
         assert lines[0] == "| " + " | ".join(CSV_COLUMNS) + " |"
         assert lines[1].startswith("|") and "---" in lines[1]
 
+    @pytest.mark.parametrize("fmt,digest", [
+        ("md", "7506be2cd73deacdf771fce7c5bd3248f883335a853ef0fc88343219c96c1649"),
+        ("json", "fdae9fc532d53939be9e3ebb307df8e31c4cc5704d9fca8d8282c3d4bb82e652"),
+    ])
+    def test_md_and_json_pinned(self, capsys, monkeypatch, fmt, digest):
+        # reference.json pins only csv; all four routes, one AO(3,3) row
+        monkeypatch.delenv(CAP_ENV, raising=False)
+        code, out, _ = run(capsys, "table", "--family", "ao-odd", "--q", "3",
+                           "--n-max", "1", "--methods",
+                           "closed-form,recursion,orbit-assembly,oracle",
+                           "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_deterministic_output(self, tmp_path):
         paths = []
         for i in (1, 2):
@@ -180,6 +197,30 @@ class TestTable:
                            "--n-max", "1", "--out", str(p))
         assert code == 0 and out == ""
         assert p.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
+
+
+class TestTableFamilies:
+    def test_groups_are_oracle_families(self):
+        for group, *_ in TABLE_FAMILIES.values():
+            assert group in GROUP_FAMILIES
+            assert group in ORACLE_FAMILIES.values()
+
+    @pytest.mark.parametrize("family", sorted(TABLE_FAMILIES))
+    def test_grid_expected_reads_the_row(self, family):
+        group = TABLE_FAMILIES[family][0]
+        for q in (2, 3, 4, 5):
+            if family == "ao-odd" and q % 2 == 0:
+                continue
+            counts = affine_counts(family, q, 3)
+            for n in (1, 2, 3):
+                got = cli._grid_expected(group, row_dimension(family, n), q)
+                assert got == counts[n], (family, q, n)
+
+    def test_every_grid_cell_has_one_row(self):
+        for group, dim, _ in VERIFICATION_GRID:
+            rows = [f for f, (g, a, b, _) in TABLE_FAMILIES.items()
+                    if g == group and dim >= b and (dim - b) % a == 0]
+            assert len(rows) == 1, (group, dim)
 
 
 class TestTableUsageErrors:

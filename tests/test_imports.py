@@ -1,4 +1,5 @@
-"""Every name a module under src/ imports is used in that module.
+"""Every name a module under src/ imports is used in that module, and the
+command line loads no module it does not need.
 
 A stand-in for a linter's unused-import rule, on the standard library's
 ast alone.  Package __init__ files are skipped, since their imports are
@@ -6,6 +7,9 @@ re-exports, and so is `from __future__`.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +45,15 @@ def test_checker_finds_unused_imports():
                          ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_loads_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about 11 ms of
+    # every launch; plain records are namedtuples or dicts instead
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, affineclasses.cli; print(sorted("
+         "m for m in ('dataclasses', 'inspect') if m in sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
