@@ -28,9 +28,10 @@ from .classcount import (AFFINE_FAMILIES, ORBIT_BOTH_CHARS, TABLE_FAMILIES,
                          necklace_product, orbit_built_series, orbit_counts,
                          recursion_counts, row_dimension, series_order,
                          sp_even_proof_form)
-from .oracle import (CapExceeded, DEFAULT_CAP, VERIFICATION_GRID, AffineGroup,
-                     affine_order, build_affine, build_group, count_classes,
-                     formula_check_o, orbit_sum_check)
+from .oracle import (CapExceeded, DEFAULT_CAP, FORMULA_FAMILIES, VERIFICATION_GRID,
+                     AffineGroup, affine_order, build_affine, build_group,
+                     check_affine, count_classes, formula_check_o,
+                     orbit_sum_check)
 from .partitions import IDENTITIES, KINDS, lemma_rhs, lemma_sum
 from .series import (QPOLY, Q, RATIONAL, QPoly, FactorFamily, TruncatedSeries,
                      apply_product, evaluate_q, geometric)
@@ -149,9 +150,13 @@ def _orbit_supported(fam: str, ch: str) -> bool:
 
 
 def oracle_values(fam: str, q: int, n_max: int, cap: int):
+    """k of the affine group of each row, every row's cell held to the cap
+    from integers before the first is built."""
     group = TABLE_FAMILIES[fam][0]
-    return [count_classes(build_affine(group, row_dimension(fam, n), q, cap=cap)).k
-            for n in range(1, n_max + 1)]
+    dims = [row_dimension(fam, n) for n in range(1, n_max + 1)]
+    for dim in dims:
+        check_affine(group, dim, q, cap)
+    return [count_classes(build_affine(group, dim, q, cap=cap)).k for dim in dims]
 
 
 def _check_series_cap(n_max: int, order: int, cap: int):
@@ -351,7 +356,7 @@ def suite_oracle(grid: str):
                            expected, count_classes(ag).k))
         per_class, total = orbit_sum_check(ag.base)
         cases.append(_case("oracle/%s-orbit-sum" % label, expected, total))
-        if family in ("GL", "GU"):
+        if family in FORMULA_FAMILIES:
             report = formula_check_o(ag.base, per_class)
             cases.append(_case("oracle/%s-o-formula" % label, True, report.ok))
     return cases

@@ -24,6 +24,7 @@ so the coset orbits close under a few generators rather than all of C(g).
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
 from functools import lru_cache
 
 from ..partitions import Partition, o_gl, o_gu
@@ -119,12 +120,18 @@ class AffineGroup:
 
 
 def build_affine(family: str, n: int, q: int, cap: int = DEFAULT_CAP) -> AffineGroup:
-    """The affine extension of build_group(family, n, q), with the total
-    size checked against the cap before any enumeration starts."""
+    """The affine extension of build_group(family, n, q), checked against
+    the cap (check_affine) before any enumeration starts."""
+    check_affine(family, n, q, cap)
+    return AffineGroup(build_group(family, n, q, cap=cap), cap=cap)
+
+
+def check_affine(family: str, n: int, q: int, cap: int) -> None:
+    """Refuse, from integers alone, an affine group whose |V|^2 addition
+    table or order |G| |V| exceeds the cap."""
     total = affine_order(family, n, q, cap)
     if total > cap:
         raise CapExceeded("affine group order %d exceeds cap %d" % (total, cap))
-    return AffineGroup(build_group(family, n, q, cap=cap), cap=cap)
 
 
 def affine_order(family: str, n: int, q: int, cap: int | None = None) -> int:
@@ -375,16 +382,15 @@ def unipotent_partition(group: MatrixGroup, mat: tuple) -> Partition:
     return Partition(mult)
 
 
-class FormulaReport:
+#: the group families whose per-class orbit counts have closed formulas
+FORMULA_FAMILIES = ("GL", "GU")
+
+
+class FormulaReport(namedtuple("FormulaReport", "entries ok")):
     """Per-class comparison of measured orbit counts with the closed
     formulas for GL and GU."""
 
-    def __init__(self, entries, ok):
-        self.entries = entries
-        self.ok = ok
-
-    def __repr__(self):
-        return "FormulaReport(classes=%d, ok=%s)" % (len(self.entries), self.ok)
+    __slots__ = ()
 
 
 def formula_check_o(group: MatrixGroup, o_vals) -> FormulaReport:
@@ -392,17 +398,14 @@ def formula_check_o(group: MatrixGroup, o_vals) -> FormulaReport:
     depends only on its eigenvalue-1 partition through the closed formulas
     (d+1 for GL, 1+q*d-b for GU); o_vals are the per-class counts of
     orbit_sum_check(group)."""
-    if group.family not in ("GL", "GU"):
+    if group.family not in FORMULA_FAMILIES:
         raise ValueError("closed orbit formulas cover GL and GU only")
     dec = count_classes(group)
     entries = []
     ok = True
     for i, gi in enumerate(dec.rep_indices):
         lam = unipotent_partition(group, group.elements[gi])
-        if group.family == "GL":
-            expected = o_gl(lam)
-        else:
-            expected = o_gu(lam, group.q)
+        expected = o_gl(lam) if group.family == "GL" else o_gu(lam, group.q)
         good = expected == o_vals[i]
         ok = ok and good
         entries.append({"class": i, "partition": lam.parts(),

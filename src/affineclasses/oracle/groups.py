@@ -17,6 +17,14 @@ R_x[j] = index(g_j x) = L_k[R_x[parent(j)]] from R_x[identity] = index(x),
 one slice per run, so conjugation by h is i -> R_{h^-1}[L_h[i]]
 (MatrixGroup.conj_table).
 
+Each group family is one row of GROUP_FAMILIES: its kind, GL, GU, Sp or O,
+and whether only elements of determinant 1 are kept (SL, SU).  Everything
+done before the closure reads the row, not the name: the field is F_{q^2}
+for the kind GU and F_q otherwise (field_order); GL and GU share one order
+formula, as |GU(n, q)| = |GL(n, -q)| up to sign, and Sp, O and O+- one
+product (expected_order); the kind picks the form and the generator recipe,
+and O, O+ and O- differ only in the type of the quadratic form.
+
 Forms are fixed once, in one model: B(x, y) = sum sigma(x_i) g_ij y_j with
 sigma the identity, or x -> x^p for a hermitian form, and for an
 orthogonal form also Q, an upper-triangular matrix with Gram Q + Q^T:
@@ -36,6 +44,7 @@ orthogonal form also Q, an upper-triangular matrix with Gram Q + Q^T:
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import is_
@@ -45,7 +54,18 @@ from .field import FiniteField, field_for_order
 
 DEFAULT_CAP = 2_000_000
 
-GROUP_FAMILIES = ("GL", "SL", "GU", "SU", "Sp", "O", "O+", "O-")
+GROUP_FAMILIES = {
+    "GL": ("GL", False), "SL": ("GL", True), "GU": ("GU", False), "SU": ("GU", True),
+    "Sp": ("Sp", False), "O": ("O", False), "O+": ("O", False), "O-": ("O", False),
+}
+
+
+def _row(family: str) -> tuple:
+    """(kind, det 1) of a group family, or the one unknown-family error."""
+    if family not in GROUP_FAMILIES:
+        raise ValueError("unknown family %r (choose from %s)"
+                         % (family, ", ".join(GROUP_FAMILIES)))
+    return GROUP_FAMILIES[family]
 
 
 class CapExceeded(RuntimeError):
@@ -195,23 +215,15 @@ def p_invert(a):
 # ---------------------------------------------------------------------------
 # forms
 
-class FormData:
+class FormData(namedtuple("FormData", "gram conj quadratic label",
+                          defaults=(None, False, None, ""))):
     """Invariant form of a group: B(x, y) = sum sigma(x_i) g_ij y_j, where
     sigma is x -> x^p when conj is set and the identity otherwise.  An
     orthogonal form also holds Q as the upper-triangular matrix quadratic,
     Q(x) = sum_{i<=j} quadratic_ij x_i x_j, and gram = quadratic +
     quadratic^T.  GL and SL have no Gram."""
 
-    __slots__ = ("gram", "conj", "quadratic", "label")
-
-    def __init__(self, gram=None, conj=False, quadratic=None, label=""):
-        self.gram = gram
-        self.conj = conj
-        self.quadratic = quadratic
-        self.label = label
-
-    def __repr__(self):
-        return "FormData(%s)" % (self.label,)
+    __slots__ = ()
 
 
 def symplectic_form(F: FiniteField, n: int) -> FormData:
@@ -301,49 +313,35 @@ def preserves_form(F: FiniteField, form: FormData, mat: tuple, n: int) -> bool:
 # order formulas
 
 def expected_order(family: str, n: int, q: int) -> int:
-    if family in ("GL", "SL"):
+    """|G| by the standard formulas: GL and GU share one, as |GU(n, q)| =
+    |GL(n, -q)| up to sign, and O and O+- are read off |Sp(2m, q)|."""
+    kind, det1 = _row(family)
+    if kind in ("GL", "GU"):
         if n < 1:
             raise ValueError("dimension must be at least 1")
-        order = 1
-        qn = q ** n
-        for i in range(n):
-            order *= qn - q ** i
-        return order if family == "GL" else order // (q - 1)
-    if family in ("GU", "SU"):
-        if n < 1:
-            raise ValueError("dimension must be at least 1")
+        s = 1 if kind == "GL" else -1
         order = q ** (n * (n - 1) // 2)
         for i in range(1, n + 1):
-            order *= q ** i - (-1) ** i
-        return order if family == "GU" else order // (q + 1)
-    if family == "Sp":
-        if n < 2 or n % 2:
-            raise ValueError("symplectic dimension must be even and positive")
-        m = n // 2
-        order = q ** (m * m)
-        for i in range(1, m + 1):
-            order *= q ** (2 * i) - 1
-        return order
+            order *= q ** i - s ** i
+        return order // (q - s) if det1 else order
     if family == "O":
         if n < 1 or n % 2 == 0:
             raise ValueError("untyped orthogonal groups are odd-dimensional")
         if q % 2 == 0:
             raise ValueError("odd-dimensional orthogonal needs odd q")
-        m = n // 2
-        order = 2 * q ** (m * m)
-        for i in range(1, m + 1):
-            order *= q ** (2 * i) - 1
+    elif n < 2 or n % 2:
+        raise ValueError("symplectic dimension must be even and positive"
+                         if kind == "Sp" else
+                         "no form of type %s in dimension %d" % (family, n))
+    m = n // 2
+    order = q ** (m * m)  # |Sp(2m, q)|
+    for i in range(1, m + 1):
+        order *= q ** (2 * i) - 1
+    if kind == "Sp":
         return order
-    if family in ("O+", "O-"):
-        if n < 2 or n % 2:
-            raise ValueError("no form of type %s in dimension %d" % (family, n))
-        m = n // 2
-        eps = 1 if family == "O+" else -1
-        order = 2 * q ** (m * (m - 1)) * (q ** m - eps)
-        for i in range(1, m):
-            order *= q ** (2 * i) - 1
-        return order
-    raise ValueError("unknown family %r" % (family,))
+    if family == "O":
+        return 2 * order
+    return 2 * order // (q ** m * (q ** m + (1 if family == "O+" else -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,21 +364,20 @@ def _form_transvection(F: FiniteField, form: FormData, v: tuple, c: int) -> tupl
 
 
 def _recipe_candidates(family: str, F: FiniteField, n: int, form: FormData):
+    kind, det1 = _row(family)
     cands = []
-    if family in ("GL", "SL"):
+    if kind == "GL":
         def unit(pos, lam):  # the identity with entry pos set to lam
             return tuple(lam if k == pos else x
                          for k, x in enumerate(mat_identity(n)))
-        cands = [unit(i * n + j, lam) for i in range(n) for j in range(n)
-                 if i != j for lam in range(1, F.size)]
-        if family == "GL":
-            cands.insert(0, unit(0, F.primitive()))
-        return cands
-    if family == "Sp":
+        cands = [] if det1 else [unit(0, F.primitive())]
+        return cands + [unit(i * n + j, lam) for i in range(n) for j in range(n)
+                        if i != j for lam in range(1, F.size)]
+    if kind == "Sp":
         # symplectic transvections x -> x + lam B(x, v) v
         return [_form_transvection(F, form, v, F.neg(lam))
                 for v in _proj_vectors(F, n) for lam in range(1, F.size)]
-    if family in ("O", "O+", "O-"):
+    if kind == "O":
         # reflections x -> x - (B(v, x) / Q(v)) v for Q(v) != 0
         for v in _proj_vectors(F, n):
             qv = eval_quadratic(F, form, v)
@@ -411,7 +408,7 @@ def _recipe_candidates(family: str, F: FiniteField, n: int, form: FormData):
     # complete SU(3,2), which the transvections alone do not generate
     # (order 54 of 216)
     norm1 = [x for x in range(2, F.size) if F.mul(x, F.conj(x)) == 1]
-    if family == "GU":
+    if not det1:
         cands.extend(quasi_reflection(v, lam)
                      for v in nonisotropic for lam in norm1)
     else:
@@ -555,7 +552,7 @@ def field_order(family: str, q: int) -> int:
     """|F| for a family's groups over q, from q alone: q, a prime or the
     square of one, or q^2 for the unitary groups, which need a prime q."""
     k = prime_power(q)[1]
-    if family in ("GU", "SU"):
+    if _row(family)[0] == "GU":
         if k != 1:
             raise ValueError("unitary groups need a prime q (field degree <= 2)")
         return q * q
@@ -566,11 +563,12 @@ def field_order(family: str, q: int) -> int:
 
 def _resolve_form(family: str, F: FiniteField, n: int) -> FormData:
     """The form of a family whose dimension expected_order has accepted."""
-    if family in ("GL", "SL"):
+    kind = _row(family)[0]
+    if kind == "GL":
         return FormData(label="no form")
-    if family in ("GU", "SU"):
+    if kind == "GU":
         return FormData(mat_identity(n), conj=True, label="identity Gram")
-    if family == "Sp":
+    if kind == "Sp":
         return symplectic_form(F, n)
     return orthogonal_form(F, n, family)
 
@@ -593,9 +591,7 @@ def build_group(family: str, n: int, q: int, cap: int = DEFAULT_CAP) -> MatrixGr
     form that misses the order raises.  q is checked, and |G| and |V| are
     held to the cap, from integers before the field is built.
     """
-    if family not in GROUP_FAMILIES:
-        raise ValueError("unknown family %r (choose from %s)"
-                         % (family, ", ".join(GROUP_FAMILIES)))
+    det1 = _row(family)[1]
     size = field_order(family, q)
     expected = expected_order(family, n, q)
     if expected > cap:
@@ -606,7 +602,6 @@ def build_group(family: str, n: int, q: int, cap: int = DEFAULT_CAP) -> MatrixGr
 
     F = field_for_order(size)
     form = _resolve_form(family, F, n)
-    det1 = family in ("SL", "SU")
     cands = [m for m in _recipe_candidates(family, F, n, form)
              if preserves_form(F, form, m, n)
              and (not det1 or mat_det(F, m, n) == 1)]

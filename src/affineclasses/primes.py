@@ -4,6 +4,7 @@ the divisors and Moebius function the counting formulas sum over."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 
 
@@ -15,8 +16,10 @@ def is_prime(p: int) -> bool:
     return p >= 2 and _least_factor(p) == p
 
 
+@lru_cache(maxsize=64, typed=True)
 def prime_power(q: int) -> tuple[int, int]:
-    """(p, k) with q = p**k for a prime p and k >= 1; ValueError otherwise."""
+    """(p, k) with q = p**k for a prime p and k >= 1; ValueError otherwise.
+    Cached, so each route and series call reuses one trial division of q."""
     if q < 2:
         raise ValueError("q must be a prime power, got %d" % q)
     p = _least_factor(q)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affineclasses import cli
+from affineclasses import cli, primes
 from affineclasses.classcount import affine_counts, row_dimension
 from affineclasses.cli import (CAP_ENV, CSV_COLUMNS, ORACLE_FAMILIES, SUITES,
                                TABLE_FAMILIES, main)
@@ -180,6 +180,17 @@ class TestTable:
                            "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_q_trial_divided_once(self, capsys, monkeypatch):
+        # every route and series call of this table validates q, 8 calls
+        q = 1_000_000_000_039
+        least, calls = primes._least_factor, []
+        monkeypatch.setattr(primes, "_least_factor",
+                            lambda m: calls.append(m) or least(m))
+        primes.prime_power.cache_clear()
+        code, _, _ = run(capsys, "table", "--family", "agl", "--q", str(q),
+                         "--n-max", "2")
+        assert code == 0 and calls.count(q) == 1
 
     def test_deterministic_output(self, tmp_path):
         paths = []
@@ -641,6 +652,35 @@ class TestOracle:
                           1, 1, 10, 1, 2, 1]
         assert payload["k"] == sum(orbits) == 42
         assert payload["direct_enumeration"] is None
+
+    @pytest.mark.parametrize("family,q,n,digest", [
+        ("agl", 3, 2, "7cbaa1d9b85c65ff5140477cb881fd36f85c9fecfd08788cc0ca13447fd3683f"),
+        ("asl", 3, 2, "6d0e52bbde6ecbdfade639d998766b7464d30c83e991aca8e01fb4f8e7c7fcb3"),
+        ("agu", 3, 2, "edff11ac23b217f771085c173ef04ee6808585b54497892735f7a48f1d87969f"),
+        ("asu", 2, 3, "bc0088454393047e39a2ec7355ed7b077013af5e0d609e26be2292284ee39b6b"),
+        ("asp", 3, 2, "0bb4de6a1107b47f5252c4a10e8398e1ff7581557365dd6fd4a5d793fab3377f"),
+        ("ao", 3, 3, "2c8741929166456612e326fbef25b59d78ee063e2665b3d27462a3d43346ad76"),
+        ("ao-plus", 3, 4, "8becb3c4435b8168a0c3393e19fe6f3c372377d5f2a38cdf8dea711544b0071b"),
+        ("ao-minus", 2, 4, "631b5abaf0ce0e2a9befa8e6d40c18f6cdc4579981d375b37bc64954c86217ca"),
+    ])
+    def test_json_pinned_per_group_family(self, capsys, monkeypatch, family, q, n, digest):
+        # one cell per group family: the F_{q^2} path of the unitary rows and
+        # the det-1 filter of SL and SU, which reference.json does not reach
+        monkeypatch.delenv(CAP_ENV, raising=False)
+        code, out, _ = run(capsys, "oracle", "--family", family, "--q", str(q),
+                           "--n", str(n), "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_table_checks_every_row_before_building(self, capsys, monkeypatch):
+        # ASp(2,3) and ASp(4,3) fit the cap, ASp(6,3) does not
+        def refuse(*args, **kwargs):
+            raise AssertionError("a group was built")
+        monkeypatch.setattr(cli, "build_affine", refuse)
+        code, _, err = run(capsys, "table", "--family", "asp", "--q", "3",
+                           "--n-max", "3", "--methods", "oracle",
+                           "--cap", "5000000")
+        assert code == 3 and "6685442749440" in err
 
     def test_cap_exceeded(self, capsys, monkeypatch):
         monkeypatch.delenv(CAP_ENV, raising=False)

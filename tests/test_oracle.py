@@ -8,6 +8,7 @@ AFFINECLASSES_BIG=1 to also run the 6.6-million-element ASU(4,2) cell.
 import hashlib
 import os
 import random
+import re
 from itertools import product
 
 import pytest
@@ -352,6 +353,74 @@ class TestBuildGroup:
         # the order formulas divide by q - 1 and q + 1
         with pytest.raises(ValueError):
             affine_order(family, n, q)
+
+
+def _prod(values):
+    out = 1
+    for v in values:
+        out *= v
+    return out
+
+
+def textbook_order(family, n, q):
+    """|G| in its textbook product form, written out per family rather than
+    read off a shared loop as expected_order does."""
+    m = n // 2
+    sp = q ** (m * m) * _prod(q ** (2 * i) - 1 for i in range(1, m + 1))
+    gu = q ** (n * (n - 1) // 2) * _prod(q ** i - (-1) ** i for i in range(1, n + 1))
+    return {
+        "GL": _prod(q ** n - q ** i for i in range(n)),
+        "SL": _prod(q ** n - q ** i for i in range(n)) // (q - 1),
+        "GU": gu,
+        "SU": gu // (q + 1),
+        "Sp": sp,
+        "O": 2 * sp,
+        "O+": 2 * q ** (m * (m - 1)) * (q ** m - 1)
+        * _prod(q ** (2 * i) - 1 for i in range(1, m)),
+        "O-": 2 * q ** (m * (m - 1)) * (q ** m + 1)
+        * _prod(q ** (2 * i) - 1 for i in range(1, m)),
+    }[family]
+
+
+def _valid_dims(family):
+    if family == "O":
+        return range(1, 11, 2)
+    if family in ("Sp", "O+", "O-"):
+        return range(2, 11, 2)
+    return range(1, 11)
+
+
+class TestOrderFormulas:
+    @pytest.mark.parametrize("family", sorted(groups_mod.GROUP_FAMILIES))
+    def test_expected_order_is_the_textbook_order(self, family):
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            if family == "O" and q % 2 == 0:
+                continue
+            for n in _valid_dims(family):
+                assert expected_order(family, n, q) == textbook_order(family, n, q), (
+                    family, n, q)
+
+    @pytest.mark.parametrize("family,n,q,text", [
+        ("GL", 0, 3, "dimension must be at least 1"),
+        ("SU", 0, 3, "dimension must be at least 1"),
+        ("Sp", 3, 3, "symplectic dimension must be even and positive"),
+        ("O", 4, 3, "untyped orthogonal groups are odd-dimensional"),
+        ("O", 3, 4, "odd-dimensional orthogonal needs odd q"),
+        ("O+", 3, 3, "no form of type O+ in dimension 3"),
+        ("O-", 0, 2, "no form of type O- in dimension 0"),
+    ])
+    def test_dimension_rules(self, family, n, q, text):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(text)):
+            expected_order(family, n, q)
+
+    def test_one_unknown_family_error(self):
+        text = "unknown family 'PSL' (choose from GL, SL, GU, SU, Sp, O, O+, O-)"
+        for call in (lambda: expected_order("PSL", 2, 3),
+                     lambda: groups_mod.field_order("PSL", 3),
+                     lambda: build_group("PSL", 2, 3)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == text
 
 
 # ---------------------------------------------------------------------------
