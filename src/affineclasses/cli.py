@@ -151,12 +151,14 @@ def _orbit_supported(fam: str, ch: str) -> bool:
 
 def oracle_values(fam: str, q: int, n_max: int, cap: int):
     """k of the affine group of each row, every row's cell held to the cap
-    from integers before the first is built."""
+    from integers before the first is built; the check stops at the first
+    row over the cap, so no list of n_max rows is made for it."""
     group = TABLE_FAMILIES[fam][0]
-    dims = [row_dimension(fam, n) for n in range(1, n_max + 1)]
-    for dim in dims:
-        check_affine(group, dim, q, cap)
-    return [count_classes(build_affine(group, dim, q, cap=cap)).k for dim in dims]
+    rows = range(1, n_max + 1)
+    for n in rows:
+        check_affine(group, row_dimension(fam, n), q, cap)
+    return [count_classes(build_affine(group, row_dimension(fam, n), q, cap=cap)).k
+            for n in rows]
 
 
 def _check_series_cap(n_max: int, order: int, cap: int):

@@ -264,7 +264,7 @@ def count_classes(group) -> ClassDecomposition:
 # orbit sums: the class count of V x| G, one class of G at a time
 
 def centralizer_generators(group: MatrixGroup, gi: int, size: int):
-    """Generators of the centralizer C(g) of g = group.elements[gi], whose
+    """Generators of the centralizer C(g) of element gi of group, whose
     class has size elements, as point permutations, by Schreier's lemma.
 
     A central class (size 1) takes the generators of G.  Otherwise the class
@@ -404,7 +404,7 @@ def formula_check_o(group: MatrixGroup, o_vals) -> FormulaReport:
     entries = []
     ok = True
     for i, gi in enumerate(dec.rep_indices):
-        lam = unipotent_partition(group, group.elements[gi])
+        lam = unipotent_partition(group, group.matrix(gi))
         expected = o_gl(lam) if group.family == "GL" else o_gu(lam, group.q)
         good = expected == o_vals[i]
         ok = ok and good

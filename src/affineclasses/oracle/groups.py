@@ -3,10 +3,11 @@
 Matrices are tuples of n*n field elements in row-major order.  Points of the
 natural module V = F^n are indexed by little-endian base-|F| digits, and
 points(F, n) lists their vectors in index order, so e_j has index |F|^j.
-An element g is kept as its basis images, the indices of g e_1, ..., g e_n
-(its columns).  Only generators carry their permutation of V, a 256-byte
-translation table up to 256 points and a tuple beyond, so the left product
-h g by a generator is n lookups in h's table (p_compose).
+An element g is kept only as its basis images, the indices of g e_1, ...,
+g e_n (its columns): MatrixGroup.matrix decodes its matrix, and one table
+over the points gives the matrix's row-major base-|F| number to sort by.
+Only generators carry their permutation of V, a 256-byte table up to 256
+points and a tuple beyond, so h g is n lookups in h's table (p_compose).
 
 Every group is built one way: one breadth-first Closure of a generator
 recipe, accepted only when it reaches the standard order formula (see
@@ -47,7 +48,7 @@ from array import array
 from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, compress, repeat
-from operator import is_
+from operator import add, is_, itemgetter
 
 from ..primes import prime_power
 from .field import FiniteField, field_for_order
@@ -468,53 +469,56 @@ class Closure:
                     self.runs.append((start, len(keys), k))
 
 
-def _greedy_generators(F: FiniteField, n: int, cands, expected: int):
+def _greedy_generators(F: FiniteField, n: int, cands, expected: int) -> Closure:
     """Pick a small generating subset of the candidate matrices in order: a
     candidate whose basis images the closure lacks becomes a generator and
     extends it.  The order is checked only once every candidate lies in the
     closure, so a proper subgroup of what the candidates generate that
-    reaches the expected order raises.  Returns (generators, closure)."""
+    reaches the expected order raises.  Returns the closure."""
     closure = Closure(F, n, expected)
-    gens = []
     for m in cands:
         if basis_images(F, m, n) not in closure.index:
-            gens.append(m)
             closure.add(perm_from_matrix(F, m, n))
     if len(closure.keys) != expected:
         raise RuntimeError("candidates generate a group of order %d, expected %d"
                            % (len(closure.keys), expected))
-    return gens, closure
+    return closure
 
 
 # ---------------------------------------------------------------------------
 # the group object and its builders
 
 class MatrixGroup:
-    """An enumerated classical group, sorted by matrix: elements[i] is the
-    matrix of element i and images[i] its basis images; generators and
-    gen_perms are the generators as matrices and as point permutations.  The
-    closure that enumerated the group is kept until conj_table() reads it."""
+    """An enumerated classical group, sorted by matrix: images[i] is the
+    basis images of element i, matrix(i) its matrix, and gen_perms the
+    generators as point permutations.  The closure that enumerated the
+    group is kept until conj_table() reads it."""
 
-    def __init__(self, family, n, q, field, form, generators, closure):
+    def __init__(self, family, n, q, field, form, closure):
         self.family = family
         self.n = n
         self.q = q
         self.field = field
         self.form = form
-        # the columns of an element are the points of its basis images
-        pts, keys = points(field, n), closure.keys
-        mats = [tuple(chain.from_iterable(zip(*map(pts.__getitem__, key))))
-                for key in keys]
-        order = sorted(range(len(mats)), key=mats.__getitem__)
-        self.elements = [mats[i] for i in order]
+        size, keys = field.size, closure.keys
+        tab = [vec_index(v[::-1], size ** n) for v in points(field, n)]
+        packed = repeat(0)  # the row-major base-|F| number of each matrix
+        for c in range(n):
+            col = [x * size ** (n - 1 - c) for x in tab].__getitem__
+            packed = list(map(add, packed, map(col, map(itemgetter(c), keys))))
+        order = sorted(range(len(keys)), key=packed.__getitem__)
         self.images = [keys[i] for i in order]
-        self.generators = generators
         self.gen_perms = closure.gens
         self.order = len(order)
-        self._closure = (closure, order)
+        self._closure = (closure, order, p_invert(order))
         self._gen_inverses = None
         self._conj_table = None
         self._classes = None
+
+    def matrix(self, i: int) -> tuple:
+        """The matrix of element i: column c is the point images[i][c]."""
+        cols = map(points(self.field, self.n).__getitem__, self.images[i])
+        return tuple(chain.from_iterable(zip(*cols)))
 
     def gen_inverses(self) -> list:
         """The inverses of gen_perms, in the same order, inverted once."""
@@ -529,9 +533,8 @@ class MatrixGroup:
         right products one slice per closure run, relabelled to the sorted
         order.  The closure is dropped once read."""
         if self._conj_table is None:
-            c, order = self._closure
+            c, order, pos = self._closure  # pos = order^-1
             lefts, parent = c.left, c.parent
-            pos = sorted(range(self.order), key=order.__getitem__)  # order^-1
             out = array("i")
             for left, hinv in zip(lefts, self.gen_inverses()):
                 right = [c.index[c.key_of(hinv)]] * self.order
@@ -542,10 +545,6 @@ class MatrixGroup:
             self._conj_table = out
             self._closure = None
         return self._conj_table
-
-    def __repr__(self):
-        return "MatrixGroup(%s(%d,%d), order=%d)" % (
-            self.family, self.n, self.q, self.order)
 
 
 def field_order(family: str, q: int) -> int:
@@ -606,4 +605,4 @@ def build_group(family: str, n: int, q: int, cap: int = DEFAULT_CAP) -> MatrixGr
              if preserves_form(F, form, m, n)
              and (not det1 or mat_det(F, m, n) == 1)]
     return MatrixGroup(family, n, q, F, form,
-                       *_greedy_generators(F, n, cands, expected))
+                       _greedy_generators(F, n, cands, expected))

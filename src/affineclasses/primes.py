@@ -7,29 +7,77 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 
+#: the first 13 primes: trial divisors, then strong probable-prime bases
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: the least strong pseudoprime to every base in _BASES (Sorenson and
+#: Webster, Math. Comp. 86 (2017)); below it the test is exact
+MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
 
 def _least_factor(q: int) -> int:
     return next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
 
 
 def is_prime(p: int) -> bool:
-    return p >= 2 and _least_factor(p) == p
+    """Trial division by _BASES, then the strong probable-prime test
+    (Miller-Rabin) to each of them.  "Composite" is always exact and
+    "prime" below MR_LIMIT; a p at or above it that passes every base
+    raises ValueError, as nothing here proves it prime."""
+    if p < 2:
+        return False
+    for a in _BASES:
+        if p % a == 0:
+            return p == a
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s with d odd
+    d = (p - 1) >> s
+    for a in _BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    if p >= MR_LIMIT:
+        raise ValueError("cannot decide whether %d is prime: the primality "
+                         "test is exact only below %d" % (p, MR_LIMIT))
+    return True
+
+
+def _iroot(q: int, k: int) -> int:
+    """floor(q^(1/k)) for q >= 1, by Newton's method from above."""
+    x = 1 << -(-q.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + q // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 @lru_cache(maxsize=64, typed=True)
 def prime_power(q: int) -> tuple[int, int]:
     """(p, k) with q = p**k for a prime p and k >= 1; ValueError otherwise.
-    Cached, so each route and series call reuses one trial division of q."""
-    if q < 2:
-        raise ValueError("q must be a prime power, got %d" % q)
-    p = _least_factor(q)
-    k, r = 0, q
-    while r % p == 0:
-        r //= p
-        k += 1
-    if r != 1:
-        raise ValueError("q must be a prime power, got %d" % q)
-    return p, k
+    A prime p <= 41 dividing q must be its only prime factor.  Otherwise
+    every prime factor exceeds 2^5, so k < bit_length(q) / 5, and q must be
+    the k-th power of a prime (is_prime) for one such k.  Cached, so each
+    route and series call reuses one test of q."""
+    if q >= 2:
+        p = next((a for a in _BASES if q % a == 0), None)
+        if p is not None:
+            k, r = 0, q
+            while r % p == 0:
+                r //= p
+                k += 1
+            if r == 1:
+                return p, k
+        else:
+            for k in range((q.bit_length() - 1) // 5, 0, -1):
+                p = _iroot(q, k)
+                if p ** k == q and is_prime(p):
+                    return p, k
+    raise ValueError("q must be a prime power, got %d" % q)
 
 
 def divisors(m: int) -> list:

@@ -25,7 +25,7 @@ from affineclasses.classcount import (
     sp_even_proof_form,
 )
 from affineclasses.partitions import lemma_rhs
-from affineclasses.primes import divisors, moebius
+from affineclasses.primes import MR_LIMIT, divisors, is_prime, moebius, prime_power
 from affineclasses.series import (
     Q,
     QPOLY,
@@ -124,6 +124,51 @@ class TestRows:
         # the orthogonal families share the order of ao-odd's last row
         assert [series_order(f, "odd", 3) for f in TABLE_FAMILIES] == [3, 3, 3, 7, 7, 7]
         assert [series_order(f, "even", 3) for f in TABLE_FAMILIES] == [3] * 6
+
+
+class TestPrimePower:
+    def test_agrees_with_trial_division(self):
+        # least prime factors below 10^5 by a sieve
+        bound = 100_000
+        least = list(range(bound))
+        for d in range(2, 317):
+            if least[d] == d:
+                for m in range(d * d, bound, d):
+                    least[m] = min(least[m], d)
+        for q in range(2, bound):
+            p, k, r = least[q], 0, q
+            while r % p == 0:
+                r //= p
+                k += 1
+            assert is_prime(q) == (p == q), q
+            if r == 1:
+                assert prime_power.__wrapped__(q) == (p, k), q
+            else:
+                with pytest.raises(ValueError):
+                    prime_power.__wrapped__(q)
+
+    @pytest.mark.parametrize("q", [2047, 3215031751])
+    def test_strong_pseudoprimes_refused(self, q):
+        # strong pseudoprimes to base 2, and to bases 2, 3, 5 and 7
+        assert not is_prime(q)
+        with pytest.raises(ValueError):
+            prime_power(q)
+
+    def test_large_powers(self):
+        p = 10 ** 9 + 7
+        assert prime_power(p * p) == (p, 2)
+        assert prime_power(10 ** 14 + 31) == (10 ** 14 + 31, 1)
+        assert prime_power(3 ** 40) == (3, 40)
+        with pytest.raises(ValueError):
+            prime_power(p * (p + 2))
+
+    def test_refused_at_the_limit(self):
+        # 2^89 - 1 is prime, but passing every base proves nothing there
+        with pytest.raises(ValueError, match=str(MR_LIMIT)):
+            prime_power(2 ** 89 - 1)
+        # a composite answer stays exact beyond the limit
+        with pytest.raises(ValueError, match="prime power"):
+            prime_power((2 ** 89 - 1) * (2 ** 61 - 1))
 
 
 class TestNecklace:

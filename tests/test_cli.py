@@ -182,15 +182,32 @@ class TestTable:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_q_trial_divided_once(self, capsys, monkeypatch):
-        # every route and series call of this table validates q, 8 calls
+        # every route and series call of this table validates q, 8 calls,
+        # and one primality test (trial division, then Miller-Rabin) of q
         q = 1_000_000_000_039
-        least, calls = primes._least_factor, []
-        monkeypatch.setattr(primes, "_least_factor",
-                            lambda m: calls.append(m) or least(m))
+        test, calls = primes.is_prime, []
+        monkeypatch.setattr(primes, "is_prime",
+                            lambda m: calls.append(m) or test(m))
         primes.prime_power.cache_clear()
         code, _, _ = run(capsys, "table", "--family", "agl", "--q", str(q),
                          "--n-max", "2")
         assert code == 0 and calls.count(q) == 1
+
+    def test_large_prime_q(self, capsys):
+        # q near 10^16 is tested for primality, not trial-divided to 10^8
+        code, out, _ = run(capsys, "table", "--family", "agl", "--q",
+                           "10000000000000061", "--n-max", "2")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "1ae19bca3ebb965467489e2e8a6a5c9b8736ee52670203e8d224fae4605a2fb3"
+
+    def test_q_beyond_the_primality_limit(self, capsys):
+        # the prime 2^89 - 1 passes every base but lies above the bound
+        # below which passing them proves primality
+        code, out, err = run(capsys, "table", "--family", "agl", "--q",
+                             str(2 ** 89 - 1), "--n-max", "1")
+        assert code == 2 and out == ""
+        assert str(primes.MR_LIMIT) in err
 
     def test_deterministic_output(self, tmp_path):
         paths = []
@@ -313,6 +330,19 @@ class TestTableUsageErrors:
                            "--cap", "100")
         assert code == 3
         assert "cap" in err
+
+    def test_oracle_rows_checked_until_one_exceeds_the_cap(self, capsys,
+                                                           monkeypatch):
+        # AGL(5,2) is the first row over the default cap; the check stops
+        # there rather than listing all 100,000 rows first
+        monkeypatch.delenv(CAP_ENV, raising=False)
+        calls = []
+        monkeypatch.setattr(cli, "row_dimension",
+                            lambda f, n: calls.append(n) or row_dimension(f, n))
+        code, _, err = run(capsys, "table", "--family", "agl", "--q", "2",
+                           "--n-max", "100000", "--methods", "oracle")
+        assert code == 3 and "cap" in err
+        assert calls == [1, 2, 3, 4, 5]
 
 
 # ---------------------------------------------------------------------------

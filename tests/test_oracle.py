@@ -2,7 +2,8 @@
 
 Grid sizes follow the element cap; the one deliberately larger cell
 (ASp(4,3), 4.2 million elements) raises the cap explicitly.  Set
-AFFINECLASSES_BIG=1 to also run the 6.6-million-element ASU(4,2) cell.
+AFFINECLASSES_BIG=1 to also run the 6.6-million-element ASU(4,2) cell and
+the orbit sum of ASp(6,2), whose group has 1.45 million elements.
 """
 
 import hashlib
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affineclasses.classcount import affine_series, ao_split, classical_series
+from affineclasses.classcount import (affine_counts, affine_series, ao_split,
+                                      classical_series)
 from affineclasses.oracle import (AffineGroup, CapExceeded, VERIFICATION_GRID,
                                   affine_order, build_affine, build_group,
                                   count_classes, formula_check_o,
@@ -143,6 +145,19 @@ ORDER_CELLS = [
 ]
 
 
+def matrices(g):
+    """The matrix of every element of g, in g's order."""
+    return [g.matrix(i) for i in range(g.order)]
+
+
+def generator_matrices(g):
+    """The matrices of g's generators, decoded through the element whose
+    basis images each generator's permutation gives."""
+    index = {key: i for i, key in enumerate(g.images)}
+    ident = basis_images(g.field, mat_identity(g.n), g.n)
+    return [g.matrix(index[p_compose(h, ident)]) for h in g.gen_perms]
+
+
 class TestElimination:
     """mat_rank and mat_det come from one forward elimination."""
 
@@ -179,21 +194,27 @@ class TestBuildGroup:
         assert g.order == order == expected_order(family, n, q)
 
     def test_elements_are_sorted_and_unique(self):
-        g = build_group("Sp", 2, 3)
-        assert g.elements == sorted(set(g.elements))
+        # Sp(2,17) acts on 289 points, so its sort keys and decoded
+        # matrices come from tuple basis images, not bytes
+        for q in (3, 17):
+            g = build_group("Sp", 2, q)
+            els = matrices(g)
+            assert els == sorted(set(els))
+            assert [basis_images(g.field, m, 2) for m in els] == g.images
 
     def test_generators_are_a_small_subset(self):
         g = build_group("GL", 3, 3)
-        assert 0 < len(g.generators) < 8
-        for m in g.generators:
-            assert m in set(g.elements)
+        assert 0 < len(g.gen_perms) < 8
+        els = set(matrices(g))
+        for m in generator_matrices(g):
+            assert m in els
 
     @pytest.mark.parametrize("family,n,q", [("Sp", 2, 3), ("GU", 2, 2),
                                             ("SU", 3, 2), ("O+", 4, 2),
                                             ("O-", 4, 2), ("O+", 4, 3)])
     def test_every_element_preserves_the_form(self, family, n, q):
         g = build_group(family, n, q)
-        for m in g.elements:
+        for m in matrices(g):
             assert preserves_form(g.field, g.form, m, g.n)
 
     def test_group_closure_exhaustive_small(self):
@@ -203,14 +224,14 @@ class TestBuildGroup:
             g = build_group(family, n, q)
             if g.order ** 2 > 100_000:
                 continue
-            els = set(g.elements)
-            for a in g.elements:
-                for b in g.elements:
+            els = set(matrices(g))
+            for a in els:
+                for b in els:
                     assert mat_mul(g.field, a, b, g.n) in els
 
     def test_determinants(self):
         g = build_group("SL", 2, 3)
-        for m in g.elements:
+        for m in matrices(g):
             assert mat_det(g.field, m, 2) == 1
 
     def test_perms_match_matrices(self):
@@ -221,8 +242,8 @@ class TestBuildGroup:
             F, size = g.field, g.field.size
             basis = [index_vec(size ** j, size, 2) for j in range(2)]
             assert g.gen_perms == [perm_from_matrix(F, m, 2)
-                                   for m in g.generators]
-            for m, key in zip(g.elements[::step], g.images[::step]):
+                                   for m in generator_matrices(g)]
+            for m, key in zip(matrices(g)[::step], g.images[::step]):
                 assert list(key) == [vec_index(mat_vec(F, m, e, 2), size)
                                      for e in basis]
                 p = perm_from_matrix(F, m, 2)
@@ -437,7 +458,7 @@ class TestAffineGroup:
         ag = build_affine(family, n, q)
         pts = points(ag.field, n)
         assert [vec_index(v, ag.field.size) for v in pts] == list(range(ag.mv))
-        seen = [(ag.base.elements[gi], pts[vi])
+        seen = [(ag.base.matrix(gi), pts[vi])
                 for gi, vi in (divmod(e, ag.mv) for e in range(ag.order))]
         assert len(set(seen)) == ag.order
 
@@ -526,6 +547,22 @@ class TestOracleGrid:
         ag = build_affine("SU", 4, 2, cap=7_000_000)
         assert count_classes(ag).k == 49
 
+    @pytest.mark.skipif(os.environ.get("AFFINECLASSES_BIG") != "1",
+                        reason="1.45M-element group; set AFFINECLASSES_BIG=1")
+    def test_asp62_big_cell(self):
+        # |G||V| = 92.9M exceeds the default cap, so only the orbit sum
+        # runs; 67 is the paper value asp-2n3-q2
+        _, total = orbit_sum_check(build_group("Sp", 6, 2))
+        assert total == 67 == affine_counts("asp", 2, 3)[3]
+
+    def test_asp2_17_wide_points(self):
+        # 289 points: tuple basis images in the sort, the decode and both
+        # routes, checked against the closed form
+        want = affine_counts("asp", 17, 1)[1]
+        g = build_group("Sp", 2, 17)
+        assert orbit_sum_check(g)[1] == want == 38
+        assert count_classes(AffineGroup(g)).k == want
+
 
 #: sha256 of each grid cell's class data (see class_data_digest); a change
 #: to how groups are built must leave every one unchanged.  Generators are
@@ -566,7 +603,7 @@ def class_data_digest(family, dim, q, cap=DEFAULT_CAP):
     g = ag.base
     mdec, adec = count_classes(g), count_classes(ag)
     orbits, _ = orbit_sum_check(g)
-    data = (tuple(g.elements), g.form.gram,
+    data = (tuple(matrices(g)), g.form.gram,
             list(mdec.rep_indices), list(mdec.sizes),
             list(adec.rep_indices), list(adec.sizes), list(orbits))
     return hashlib.sha256(repr(data).encode()).hexdigest()
@@ -588,11 +625,11 @@ class TestClassDataDigests:
 
 
 def reference_commutator_space(group, i):
-    """labels and cosets of [g,V] for g = group.elements[i], from the
+    """labels and cosets of [g,V] for g = group.matrix(i), from the
     columns (g-1)e_j by mat_vec, reduced to echelon form; the point sets of
     the reduced bases are kept in _SPACES."""
     F, n, size = group.field, group.n, group.field.size
-    g = group.elements[i]
+    g = group.matrix(i)
     rows = []
     for j in range(n):
         e = index_vec(size ** j, size, n)
@@ -689,7 +726,7 @@ class TestCentralizerGenerators:
         g = build_group(family, dim, q)
         dec = count_classes(g)
         for gi, size in zip(dec.rep_indices, dec.sizes):
-            pg = perm_from_matrix(g.field, g.elements[gi], dim)
+            pg = perm_from_matrix(g.field, g.matrix(gi), dim)
             gens = centralizer_generators(g, gi, size)
             assert all(p_compose(h, pg) == p_compose(pg, h) for h in gens)
             sub = Closure(g.field, dim, g.order)
@@ -738,7 +775,7 @@ class TestUnipotentPartition:
 
     def test_sizes_weighted_by_multiplicity_recover_fixed_space(self):
         g = build_group("GL", 3, 2)
-        for m in g.elements:
+        for m in matrices(g):
             lam = unipotent_partition(g, m)
             from affineclasses.oracle.groups import mat_rank, mat_sub
             fixed = 3 - mat_rank(g.field, mat_sub(g.field, m, mat_identity(3)), 3)
@@ -862,18 +899,19 @@ def reference_affine_classes(ag):
     generators are (h, 0) for the base generators h and (1, c e_j) for c in
     a basis of F over its prime field, which generate V x| G."""
     base, F, n = ag.base, ag.field, ag.n
-    index = {m: i for i, m in enumerate(base.elements)}
+    els = matrices(base)
+    index = {m: i for i, m in enumerate(els)}
     ident = mat_identity(n)
     zero = (0,) * n
-    gens = [(h, next(m for m in base.elements if mat_mul(F, h, m, n) == ident), zero)
-            for h in base.generators]
+    gens = [(h, next(m for m in els if mat_mul(F, h, m, n) == ident), zero)
+            for h in generator_matrices(base)]
     scalars = [1] if F.degree == 1 else [1, F.p]
     gens += [(ident, ident, tuple(c if k == j else 0 for k in range(n)))
              for j in range(n) for c in scalars]
 
     def conjugate(e, h, hinv, w):
         gi, vi = divmod(e, ag.mv)
-        g = base.elements[gi]
+        g = els[gi]
         g2 = mat_mul(F, mat_mul(F, h, g, n), hinv, n)
         hv = mat_vec(F, h, index_vec(vi, F.size, n), n)
         v2 = tuple(F.sub(F.add(a, b), c)
@@ -907,11 +945,11 @@ class TestConjugationTables:
         # h g_i h^-1 by mat_mul, looked up in a dict built here; SL(2,19)
         # has 361 points, so its basis images and generators are tuples
         g = build_group(family, dim, q)
-        F, els = g.field, g.elements
+        F, els = g.field, matrices(g)
         index = {m: i for i, m in enumerate(els)}
         conj = g.conj_table()
-        assert len(conj) == len(g.generators) * g.order
-        for k, h in enumerate(g.generators):
+        assert len(conj) == len(g.gen_perms) * g.order
+        for k, h in enumerate(generator_matrices(g)):
             hinv = _mat_inverse(g, h)
             off = k * g.order
             for i, m in enumerate(els):
@@ -972,7 +1010,7 @@ def test_conjugation_stays_in_class(cell, seed):
     rng = random.Random(seed)
     i = rng.randrange(g.order)
     j = rng.randrange(g.order)
-    F, els = g.field, g.elements
+    F, els = g.field, matrices(g)
     conj = mat_mul(F, mat_mul(F, els[j], els[i], n),
                    _mat_inverse(g, els[j]), n)
     ci = els.index(conj)
@@ -991,7 +1029,7 @@ _members_cache = {}
 def _mat_inverse(g, m):
     """The inverse of m in g, found among its elements."""
     ident = mat_identity(g.n)
-    return next(x for x in g.elements if mat_mul(g.field, m, x, g.n) == ident)
+    return next(x for x in matrices(g) if mat_mul(g.field, m, x, g.n) == ident)
 
 
 def _class_members(g, pos):
@@ -1001,9 +1039,9 @@ def _class_members(g, pos):
         # closure of the representative under generator conjugation
         seen = {dec.rep_indices[pos]}
         stack = [dec.rep_indices[pos]]
-        F, n, els = g.field, g.n, g.elements
+        F, n, els = g.field, g.n, matrices(g)
         idx = {m: i for i, m in enumerate(els)}
-        pairs = [(h, _mat_inverse(g, h)) for h in g.generators]
+        pairs = [(h, _mat_inverse(g, h)) for h in generator_matrices(g)]
         while stack:
             e = stack.pop()
             for h, hinv in pairs:
