@@ -49,6 +49,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import add, is_, itemgetter
+from random import Random
 
 from ..primes import prime_power
 from .field import FiniteField, field_for_order
@@ -427,7 +428,9 @@ class Closure:
     element 0 is the identity and left[k][i] = index(gens[k] g_i).  The
     other elements come in runs (a, b, k): elements a..b-1 are gens[k]
     times element parent[j] < a.  A generator added later extends the
-    closure without redoing it; passing limit raises."""
+    closure without redoing it; passing limit raises.  The generators are
+    those _greedy_generators adds: a few random subproducts of a recipe's
+    candidates, then any candidate still outside."""
 
     def __init__(self, F: FiniteField, n: int, limit: int):
         ident = basis_images(F, mat_identity(n), n)
@@ -469,13 +472,36 @@ class Closure:
                     self.runs.append((start, len(keys), k))
 
 
+#: the most random subproducts _greedy_generators draws before its greedy pass
+SUBPRODUCT_DRAWS = 4
+
+
 def _greedy_generators(F: FiniteField, n: int, cands, expected: int) -> Closure:
-    """Pick a small generating subset of the candidate matrices in order: a
-    candidate whose basis images the closure lacks becomes a generator and
-    extends it.  The order is checked only once every candidate lies in the
-    closure, so a proper subgroup of what the candidates generate that
-    reaches the expected order raises.  Returns the closure."""
+    """Pick a small generating set of the group of the candidate matrices.
+
+    The closure starts from random subproducts of the candidates, each the
+    product in list order of a random subset of them (Babai 1991; Seress,
+    Permutation Group Algorithms, CUP 2003, 2.3).  Two of them generate
+    most classical groups, so the tables and scans that walk one map per
+    generator walk two or three.  The subsets come from a fixed seed, so a
+    group gets the same generators on every run, and draws go on while the
+    closure is short of the expected order, up to SUBPRODUCT_DRAWS.  Then a
+    greedy pass takes the candidates in order: one whose basis images the
+    closure lacks becomes a generator and extends it.  The order is checked
+    only once every candidate lies in the closure, so a proper subgroup of
+    what the candidates generate that reaches the expected order raises.
+    Returns the closure."""
     closure = Closure(F, n, expected)
+    rng = Random(0)
+    for _ in range(SUBPRODUCT_DRAWS):
+        if len(closure.keys) == expected:
+            break
+        m = mat_identity(n)
+        for c in cands:
+            if rng.getrandbits(1):
+                m = mat_mul(F, m, c, n)
+        if basis_images(F, m, n) not in closure.index:
+            closure.add(perm_from_matrix(F, m, n))
     for m in cands:
         if basis_images(F, m, n) not in closure.index:
             closure.add(perm_from_matrix(F, m, n))
@@ -506,11 +532,11 @@ class MatrixGroup:
         for c in range(n):
             col = [x * size ** (n - 1 - c) for x in tab].__getitem__
             packed = list(map(add, packed, map(col, map(itemgetter(c), keys))))
-        order = sorted(range(len(keys)), key=packed.__getitem__)
+        order = array("i", sorted(range(len(keys)), key=packed.__getitem__))
         self.images = [keys[i] for i in order]
         self.gen_perms = closure.gens
         self.order = len(order)
-        self._closure = (closure, order, p_invert(order))
+        self._closure = (closure, order, array("i", p_invert(order)))
         self._gen_inverses = None
         self._conj_table = None
         self._classes = None
@@ -587,8 +613,13 @@ def build_group(family: str, n: int, q: int, cap: int = DEFAULT_CAP) -> MatrixGr
     reaching the order formula proves it is the whole group.  The form, and
     with it the type of an orthogonal group, is fixed before the closure
     (see the module docstring); the closure is taken once, and a recipe or
-    form that misses the order raises.  q is checked, and |G| and |V| are
-    held to the cap, from integers before the field is built.
+    form that misses the order raises.  The generators are not the
+    candidates themselves but up to SUBPRODUCT_DRAWS random subproducts of
+    them, from a fixed seed, plus any candidate those miss
+    (_greedy_generators); class
+    data do not depend on them, as representatives are least indices in the
+    sorted order.  q is checked, and |G| and |V| are held to the cap, from
+    integers before the field is built.
     """
     det1 = _row(family)[1]
     size = field_order(family, q)

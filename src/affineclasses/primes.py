@@ -1,21 +1,19 @@
 """Integer arithmetic: the one check of a field size (prime powers), shared
 by the closed-form routes and the brute-force oracle's choice of field, and
-the divisors and Moebius function the counting formulas sum over."""
+the divisors and Moebius function the counting formulas sum over, both read
+off one factorisation."""
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
+from itertools import count
+from math import gcd
 
 #: the first 13 primes: trial divisors, then strong probable-prime bases
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 #: the least strong pseudoprime to every base in _BASES (Sorenson and
 #: Webster, Math. Comp. 86 (2017)); below it the test is exact
 MR_LIMIT = 3_317_044_064_679_887_385_961_981
-
-
-def _least_factor(q: int) -> int:
-    return next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
 
 
 def is_prime(p: int) -> bool:
@@ -80,11 +78,62 @@ def prime_power(q: int) -> tuple[int, int]:
     raise ValueError("q must be a prime power, got %d" % q)
 
 
+def _rho(m: int) -> int:
+    """A proper divisor of a composite m with no prime factor in _BASES:
+    Pollard rho with Brent's cycle search, one gcd per batch of 128 steps
+    (R. P. Brent, "An improved Monte Carlo factorization algorithm", BIT 20,
+    1980).  A batch that overshoots to gcd m is walked again one step at a
+    time, and a walk that closes on m itself is retried with the next c."""
+    for c in count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            for k in range(0, r, 128):
+                ys, prod = y, 1
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    prod = prod * (x - y) % m
+                g = gcd(prod, m)
+                if g != 1:
+                    break
+            r *= 2
+        if g == m:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = gcd(x - ys, m)
+        if g != m:
+            return g
+
+
+def _factor(m: int) -> dict:
+    """{p: k} with m = prod p^k for m >= 1: trial division by _BASES, then
+    _rho on the cofactors until is_prime accepts each part."""
+    out = {}
+    for p in _BASES:
+        while m % p == 0:
+            m //= p
+            out[p] = out.get(p, 0) + 1
+    rest = [m] if m > 1 else []
+    while rest:
+        r = rest.pop()
+        if is_prime(r):
+            out[r] = out.get(r, 0) + 1
+        else:
+            d = _rho(r)
+            rest += [d, r // d]
+    return out
+
+
 def divisors(m: int) -> list:
-    """The positive divisors of m >= 1, ascending: each d <= sqrt(m) paired
-    with m // d."""
-    small = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
-    return small + [m // d for d in reversed(small) if d * d != m]
+    """The positive divisors of m >= 1, ascending: every product of prime
+    powers p^i, i <= k, over the factorisation m = prod p^k."""
+    out = [1]
+    for p, k in _factor(m).items():
+        out = [d * p ** i for d in out for i in range(k + 1)]
+    return sorted(out)
 
 
 def moebius(e: int) -> int:
@@ -92,11 +141,5 @@ def moebius(e: int) -> int:
     prime factors)."""
     if e < 1:
         raise ValueError("e must be >= 1")
-    out = 1
-    while e > 1:
-        p = _least_factor(e)
-        e //= p
-        if e % p == 0:
-            return 0
-        out = -out
-    return out
+    exponents = _factor(e).values()
+    return 0 if any(k > 1 for k in exponents) else (-1) ** len(exponents)

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,8 +177,41 @@ class TestNecklace:
     def test_divisors(self):
         for m in range(1, 3001):
             assert divisors(m) == [d for d in range(1, m + 1) if m % d == 0], m
-        # pairs each d <= sqrt(m) with m // d; trying every d takes a minute
+        # factored, not scanned: trying every d takes a minute
         assert divisors(1_000_000_006) == [1, 2, 500000003, 1000000006]
+
+    def test_divisors_match_the_square_root_scan(self):
+        # the scan divisors ran before it factored m: each d <= sqrt(m)
+        # paired with m // d; and the Moebius function by least factors
+        for m in range(1, 10_001):
+            small = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
+            assert divisors(m) == small + [m // d for d in reversed(small)
+                                           if d * d != m], m
+            mu, e = 1, m
+            while e > 1:
+                p = next(d for d in range(2, e + 1) if e % d == 0)
+                e //= p
+                mu = 0 if e % p == 0 else -mu
+                if mu == 0:
+                    break
+            assert moebius(m) == mu, m
+
+    @pytest.mark.parametrize("primes", [
+        (2, 3, 7, 61, 65701, 594085421),   # 10^17 + 2, squarefree
+        (10 ** 9 + 7, 10 ** 9 + 7),        # a prime square beyond trial division
+        (43, 43, 43, 47, 10 ** 9 + 7, 10 ** 9 + 9),
+    ])
+    def test_divisors_of_large_m(self, primes):
+        # Pollard rho splits what trial division by the small primes leaves
+        m = prod(primes)
+        exponents = Counter(primes)
+        assert all(is_prime(p) for p in exponents)
+        ds = divisors(m)
+        assert ds == sorted(set(ds)) and ds[-1] == m
+        assert all(m % d == 0 for d in ds)
+        assert len(ds) == prod(k + 1 for k in exponents.values())
+        assert moebius(m) == (0 if len(exponents) < len(primes)
+                              else (-1) ** len(primes))
 
     def test_moebius(self):
         assert [moebius(e) for e in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]

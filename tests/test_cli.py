@@ -593,6 +593,23 @@ class TestBounds:
         payload = json.loads(out)
         assert payload["ok"] is True and payload["constants"] == []
 
+    def test_large_prime_q(self, capsys):
+        # the subgroup tower reads the divisors of q - 1 = 10^17 + 2 from
+        # its factorisation, not from a scan to 3 * 10^8
+        code, out, _ = run(capsys, "bounds", "--q-set", "100000000000000003",
+                           "--n-max", "2")
+        assert code == 0 and "violations: 0" in out
+        # one n = 1 and one n = 2 cell for each of its 63 proper divisors e
+        assert "sl-tower-theorem       cells=126  exceptions=1" in out
+
+    def test_q_minus_one_beyond_the_primality_limit(self, capsys):
+        # 2^127 - 1 passes every base but lies above the bound below which
+        # that proves it prime, so the divisors of q - 1 are undecided
+        code, out, err = run(capsys, "bounds", "--q-set", str(2 ** 127),
+                             "--n-max", "2")
+        assert code == 2 and out == ""
+        assert str(primes.MR_LIMIT) in err
+
     @pytest.mark.parametrize("argv", [
         ("bounds", "--q-set", "2,x"),
         ("bounds", "--q-set", "1,3"),

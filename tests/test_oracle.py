@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affineclasses.classcount import (affine_counts, affine_series, ao_split,
-                                      classical_series)
+from affineclasses.classcount import (TABLE_FAMILIES, affine_counts,
+                                      affine_series, ao_split,
+                                      classical_series, row_dimension)
 from affineclasses.oracle import (AffineGroup, CapExceeded, VERIFICATION_GRID,
                                   affine_order, build_affine, build_group,
                                   count_classes, formula_check_o,
@@ -208,6 +209,20 @@ class TestBuildGroup:
         els = set(matrices(g))
         for m in generator_matrices(g):
             assert m in els
+
+    def test_random_subproducts_generate(self):
+        # two random subproducts of the 80 transvections generate Sp(4,3),
+        # and no grid cell needs more than four generators
+        assert len(build_group("Sp", 4, 3).gen_perms) == 2
+        assert max(len(build_group(*cell).gen_perms)
+                   for cell in VERIFICATION_GRID) <= 4
+
+    @pytest.mark.parametrize("family,n,q", [("Sp", 4, 3), ("O", 3, 3),
+                                            ("SL", 2, 19)])
+    def test_generators_are_deterministic(self, family, n, q):
+        # the subproducts are drawn from a fixed seed
+        a, b = build_group(family, n, q), build_group(family, n, q)
+        assert a is not b and a.gen_perms == b.gen_perms
 
     @pytest.mark.parametrize("family,n,q", [("Sp", 2, 3), ("GU", 2, 2),
                                             ("SU", 3, 2), ("O+", 4, 2),
@@ -522,6 +537,19 @@ def closed_form_count(family, dim, q):
     return seq[dim // 2]
 
 
+#: cells beyond VERIFICATION_GRID that run under the default cap: table
+#: family, q, row n, k(AG) and whether |G||V| lets the direct scan run;
+#: AO-(6,2) = 65 is the paper value ao-minus-dim6-q2
+WIDER_CELLS = [
+    ("ao-plus", 2, 3, 64, False), ("ao-minus", 2, 3, 65, False),
+    ("agl", 2, 4, 25, True), ("agu", 3, 3, 102, False),
+    ("agl", 4, 3, 79, False), ("ao-odd", 3, 2, 119, False),
+    ("ao-plus", 4, 2, 60, True), ("ao-odd", 7, 1, 62, True),
+    ("ao-odd", 9, 1, 88, True), ("agl", 7, 2, 55, True),
+    ("agl", 9, 2, 89, True), ("asp", 7, 1, 18, True), ("asp", 9, 1, 22, True),
+]
+
+
 class TestOracleGrid:
     @pytest.mark.parametrize("family,dim,q", ORACLE_GRID)
     def test_count_matches_closed_form(self, family, dim, q):
@@ -554,6 +582,17 @@ class TestOracleGrid:
         # runs; 67 is the paper value asp-2n3-q2
         _, total = orbit_sum_check(build_group("Sp", 6, 2))
         assert total == 67 == affine_counts("asp", 2, 3)[3]
+
+    @pytest.mark.parametrize("table,q,n,k,scan", WIDER_CELLS)
+    def test_wider_cells(self, table, q, n, k, scan):
+        # every route that runs under the default cap against the closed form
+        assert affine_counts(table, q, n)[n] == k
+        family, dim = TABLE_FAMILIES[table][0], row_dimension(table, n)
+        assert (affine_order(family, dim, q) <= DEFAULT_CAP) == scan
+        g = build_group(family, dim, q)
+        assert orbit_sum_check(g)[1] == k
+        if scan:
+            assert count_classes(AffineGroup(g)).k == k
 
     def test_asp2_17_wide_points(self):
         # 289 points: tuple basis images in the sort, the decode and both
