@@ -9,16 +9,16 @@ of (g, v) is the coset v + [g,V] of [g,V] = (g-1)V.  A state is a pair
 it to (h g h^-1, least member of h c + [h g h^-1, V]).  The G-orbits of states
 are the affine classes, each state standing for |[g,V]| elements, and there
 are |G| times (number of G-orbits on V) states rather than |G|*|V| pairs.
-The subspaces [g,V] are spanned once per conjugacy class and carried to the
-rest of the class along the conjugation tables, as [h g h^-1, V] = h [g,V].
+The classes of G come from one walk of the conjugation tables (kernels.walk),
+whose spanning tree carries the subspaces [g,V], spanned once per class, to
+the rest of the class, as [h g h^-1, V] = h [g,V].
 
 The orbit sums count, class by class, the orbits of the centralizer C(g) on
-V/[g,V].  A breadth-first walk over the class of g through the conjugation
-tables carries transversal elements t_x with t_x g t_x^-1 = x, and by
-Schreier's lemma the elements t_y^-1 h t_x along its edges x -> y = h x h^-1
-generate C(g).  The walk keeps those outside the Closure of the ones kept so
-far and stops collecting at |G| / |class|, the order the class scan fixes,
-so the coset orbits close under a few generators rather than all of C(g).
+V/[g,V].  The same tree carries transversal elements t_x with t_x g t_x^-1 =
+x, and by Schreier's lemma the elements t_y^-1 h t_x along the other edges
+x -> y = h x h^-1 generate C(g).  Only those outside the Closure of the ones
+kept so far are kept, up to |G| / |class|, the order the class scan fixes,
+so the coset orbits (kernels.walk again) close under a few generators.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 from array import array
 from collections import namedtuple
 from functools import lru_cache
+from itertools import accumulate
 
 from ..partitions import Partition, o_gl, o_gu
 from . import kernels
@@ -69,9 +70,11 @@ def _point_tables(F: FiniteField, n: int):
 
 class ClassDecomposition:
     """Conjugacy classes of a finite group: aligned representative indices,
-    class sizes, centralizer orders.  Sizes must partition the group order."""
+    class sizes, centralizer orders.  Sizes must partition the group order.
+    A matrix group's classes keep their walk (kernels.walk): the elements
+    class after class (members, class i from starts[i]) and its tree."""
 
-    def __init__(self, group_order, sizes, rep_indices):
+    def __init__(self, group_order, sizes, rep_indices, members=None, tree=None):
         if sum(sizes) != group_order:
             raise AssertionError("class sizes sum to %d, group order is %d"
                                  % (sum(sizes), group_order))
@@ -83,13 +86,12 @@ class ClassDecomposition:
         self.sizes = sizes
         self.rep_indices = rep_indices
         self.centralizer_orders = [group_order // s for s in sizes]
+        self.members, self.tree = members, tree
+        self.starts = list(accumulate(sizes, initial=0))
 
     @property
     def k(self) -> int:
         return len(self.sizes)
-
-    def __repr__(self):
-        return "ClassDecomposition(order=%d, k=%d)" % (self.order, self.k)
 
 
 class AffineGroup:
@@ -113,10 +115,6 @@ class AffineGroup:
                               % (self.order, cap))
         self.cap = cap
         self._classes = None
-
-    def __repr__(self):
-        return "AffineGroup(%s(%d,%d), order=%d)" % (
-            self.family, self.n, self.q, self.order)
 
 
 def build_affine(family: str, n: int, q: int, cap: int = DEFAULT_CAP) -> AffineGroup:
@@ -157,8 +155,9 @@ VERIFICATION_GRID = tuple(
 
 def _matrix_classes(group: MatrixGroup) -> ClassDecomposition:
     N = group.order
-    reps_idx, sizes = kernels.orbit_scan(group.conj_table(), len(group.gen_perms), N)
-    return ClassDecomposition(N, sizes, reps_idx)
+    reps, sizes, members, tree = kernels.orbit_scan(
+        group.conj_table(), len(group.gen_perms), N)
+    return ClassDecomposition(N, sizes, reps, members, tree)
 
 
 def _span(F: FiniteField, n: int, key, add, neg) -> tuple:
@@ -184,13 +183,14 @@ def _commutator_cosets(group: MatrixGroup, add, neg):
     for element i; per id, the least member of every point's coset
     (labels) and those least members in ascending order (cosets).
 
-    [h g h^-1, V] = h [g,V], so ids are carried along the conjugation
-    tables: an element with no id yet has its subspace spanned (_span), and
-    its conjugates by the generators take the images of that subspace, the
-    image of each subspace under each generator being found once."""
+    [h g h^-1, V] = h [g,V], so ids are carried down the class walk of
+    count_classes(group) in the order it reached the elements: the least
+    element of a class has its subspace spanned (_span), and any other y,
+    first reached as h x h^-1, takes the image under h of the subspace of
+    x, the image of each subspace under each generator being found once."""
     F, n = group.field, group.n
     N, mv = group.order, F.size ** n
-    conj = group.conj_table()
+    dec = count_classes(group)
     spaces, ids = [], {}
 
     def id_of(space):
@@ -199,26 +199,18 @@ def _commutator_cosets(group: MatrixGroup, add, neg):
             spaces.append(space)
         return ids[space]
 
-    def moved(s, h):
-        return id_of(tuple(sorted(map(h.__getitem__, spaces[s]))))
-
-    steps = [(k * N, h, {}) for k, h in enumerate(group.gen_perms)]
+    gens, tree = group.gen_perms, dec.tree
+    image = [{} for _ in gens]  # per generator: id -> id of its image
     sub_of = array("i", [-1]) * N
-    for i0 in range(N):
-        if sub_of[i0] >= 0:
+    for y in dec.members:
+        if tree[y] < 0:
+            sub_of[y] = id_of(_span(F, n, group.images[y], add, neg))
             continue
-        sub_of[i0] = id_of(_span(F, n, group.images[i0], add, neg))
-        queue = [i0]
-        for x in queue:  # the queue grows while it is read
-            s = sub_of[x]
-            for off, h, image in steps:
-                y = conj[off + x]
-                if sub_of[y] < 0:
-                    t = image.get(s)
-                    if t is None:
-                        t = image[s] = moved(s, h)
-                    sub_of[y] = t
-                    queue.append(y)
+        k, x = divmod(tree[y], N)
+        s = sub_of[x]
+        if s not in image[k]:
+            image[k][s] = id_of(tuple(sorted(map(gens[k].__getitem__, spaces[s]))))
+        sub_of[y] = image[k][s]
 
     labels, cosets = zip(*(_cosets(space, add, mv) for space in spaces))
     return sub_of, labels, cosets
@@ -264,55 +256,53 @@ def count_classes(group) -> ClassDecomposition:
 # orbit sums: the class count of V x| G, one class of G at a time
 
 def centralizer_generators(group: MatrixGroup, gi: int, size: int):
-    """Generators of the centralizer C(g) of element gi of group, whose
-    class has size elements, as point permutations, by Schreier's lemma.
+    """Generators of the centralizer C(g) of g = element gi of group, a class
+    representative of count_classes(group) whose class has size elements,
+    as point permutations, by Schreier's lemma.
 
-    A central class (size 1) takes the generators of G.  Otherwise the class
-    is walked breadth-first through group.conj_table(), keeping for each
-    reached x a pair (t_x, t_x^-1) with t_x g t_x^-1 = x: the edge from x to
-    a new y = h x h^-1 sets t_y = h t_x and t_y^-1 = t_x^-1 h^-1, with h^-1
-    from group.gen_inverses().  An edge into a reached y gives the Schreier
-    generator t_y^-1 h t_x, kept when it extends the Closure of those kept.
-    Once that has |G|/size elements the rest of the class is only counted.
-    The walk must reach exactly size elements and the subgroup exactly
-    |G|/size, which makes the subgroup C(g); anything else raises."""
-    F, n = group.field, group.n
-    order = group.order
+    A central class (size 1) takes the generators of G.  Otherwise the
+    class's slice of the class walk is read in order, keeping for each x a
+    pair (t_x, t_x^-1) with t_x g t_x^-1 = x: the tree edge from x to
+    y = h x h^-1 sets t_y = h t_x and t_y^-1 = t_x^-1 h^-1 (h^-1 from
+    group.gen_inverses()), and every other edge gives the Schreier generator
+    t_y^-1 h t_x, kept when it extends the Closure of those kept, until that
+    has |G|/size elements.  The class must have exactly size elements and
+    the subgroup exactly |G|/size, which makes it C(g); anything else
+    raises."""
+    F, n, order = group.field, group.n, group.order
     gens = group.gen_perms
     conj = group.conj_table()
-    offs = [k * order for k in range(len(gens))]
+    dec = count_classes(group)
+    i = dec.rep_indices.index(gi)
+    members = dec.members[dec.starts[i]:dec.starts[i + 1]]
     if size == 1:
-        if any(conj[off + gi] != gi for off in offs):
+        if len(members) != 1:
             raise RuntimeError("element %d is not central" % gi)
         return gens
     target = order // size
-    steps = list(zip(gens, group.gen_inverses(), offs))
+    tree = dec.tree
+    steps = [(h, hinv, k * order)
+             for k, (h, hinv) in enumerate(zip(gens, group.gen_inverses()))]
     ident = identity_perm(F.size ** n)
     trans = {gi: (ident, ident)}
     sub = Closure(F, n, target)
-    seen = bytearray(order)
-    seen[gi] = 1
-    queue = [gi]
-    for x in queue:  # the queue grows while it is read: breadth-first
-        tx, txinv = trans[x] if len(sub.keys) < target else (None, None)
+    for x in members:
+        tx, txinv = trans[x]
         for h, hinv, off in steps:
             y = conj[off + x]
-            if not seen[y]:
-                seen[y] = 1
-                queue.append(y)
-                if tx is not None:
-                    trans[y] = (p_compose(h, tx), p_compose(txinv, hinv))
-            elif tx is not None:
+            if tree[y] == off + x:
+                trans[y] = (p_compose(h, tx), p_compose(txinv, hinv))
+            elif len(sub.keys) < target:
                 s = p_compose(trans[y][1], p_compose(h, tx))
                 if sub.key_of(s) not in sub.index:
                     sub.add(s)
-                    if len(sub.keys) == target:
-                        tx = None
-    if len(queue) != size or len(sub.keys) != target:
+        if len(sub.keys) == target:
+            break
+    if len(members) != size or len(sub.keys) != target:
         raise RuntimeError(
             "class of element %d has %d elements and a centralizer subgroup "
             "of order %d; expected %d and %d"
-            % (gi, len(queue), len(sub.keys), size, target))
+            % (gi, len(members), len(sub.keys), size, target))
     return sub.gens
 
 
@@ -322,10 +312,10 @@ def orbit_sum_check(group: MatrixGroup, cap: int = DEFAULT_CAP):
     counts, their sum); the sum equals the class count of V x| G.
 
     Each centralizer is given by the few Schreier generators that
-    centralizer_generators collects on a walk over the class of g, and the
-    coset orbits are closed under those generators.  The walk reads only
-    G's conjugation tables and the class sizes of its matrix class scan,
-    never the affine scan."""
+    centralizer_generators reads off the class walk of g, and each of them
+    is tabulated on the ordinals of the cosets, whose orbits kernels.walk
+    counts.  This reads only G's conjugation tables and its matrix class
+    walk, never the affine scan."""
     F, n = group.field, group.n
     mv = F.size ** n
     add, neg = _vector_tables(F, n, cap)
@@ -335,22 +325,9 @@ def orbit_sum_check(group: MatrixGroup, cap: int = DEFAULT_CAP):
         label, cosets = _cosets(_span(F, n, group.images[gi], add, neg),
                                 add, mv)
         cent = centralizer_generators(group, gi, size)
-        seen = set()
-        cnt = 0
-        for v in cosets:
-            if v in seen:
-                continue
-            cnt += 1
-            seen.add(v)
-            stack = [v]
-            while stack:
-                x = stack.pop()
-                for h in cent:
-                    y = label[h[x]]
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-        out.append(cnt)
+        ordinal = {v: j for j, v in enumerate(cosets)}
+        table = [ordinal[label[h[v]]] for h in cent for v in cosets]
+        out.append(len(kernels.walk(table, len(cent), len(cosets))[0]))
     return out, sum(out)
 
 

@@ -518,7 +518,8 @@ class MatrixGroup:
     """An enumerated classical group, sorted by matrix: images[i] is the
     basis images of element i, matrix(i) its matrix, and gen_perms the
     generators as point permutations.  The closure that enumerated the
-    group is kept until conj_table() reads it."""
+    group is kept until conj_table() reads it, but its index dict, which
+    nothing after the closure reads, is dropped before the sort."""
 
     def __init__(self, family, n, q, field, form, closure):
         self.family = family
@@ -527,6 +528,7 @@ class MatrixGroup:
         self.field = field
         self.form = form
         size, keys = field.size, closure.keys
+        closure.index = None
         tab = [vec_index(v[::-1], size ** n) for v in points(field, n)]
         packed = repeat(0)  # the row-major base-|F| number of each matrix
         for c in range(n):
@@ -555,15 +557,16 @@ class MatrixGroup:
     def conj_table(self) -> array:
         """For each generator h in turn, the index map i -> index of
         h g_i h^-1, all maps back to back (map k at offset k * order): in
-        closure labels R_{h^-1} o L_h, with h^-1 from gen_inverses() and the
-        right products one slice per closure run, relabelled to the sorted
-        order.  The closure is dropped once read."""
+        closure labels R_{h^-1} o L_h, with the right products one slice per
+        closure run, relabelled to the sorted order.  h^-1 is the element
+        that h sends to the identity, so R_{h^-1} starts from
+        L_h.index(0).  The closure is dropped once read."""
         if self._conj_table is None:
             c, order, pos = self._closure  # pos = order^-1
             lefts, parent = c.left, c.parent
             out = array("i")
-            for left, hinv in zip(lefts, self.gen_inverses()):
-                right = [c.index[c.key_of(hinv)]] * self.order
+            for left in lefts:
+                right = [left.index(0)] * self.order
                 for a, b, k in c.runs:  # parents lie before their run
                     right[a:b] = map(lefts[k].__getitem__,
                                      map(right.__getitem__, parent[a:b]))

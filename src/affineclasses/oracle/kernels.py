@@ -1,38 +1,55 @@
 """Orbit kernels of the brute-force oracle, in pure Python.
 
 Both kernels scan their states in ascending index order and close each
-unvisited state under a fixed list of maps, so every orbit is reported by
-its least index, together with its size.
+unreached state under a fixed list of maps, so every orbit is reported by
+its least index, together with its size.  walk serves every oracle route;
+affine_orbit_scan keeps a loop of its own, as its states are pairs whose
+images are computed, not read from one table.
 """
+
+from array import array
 
 #: the one implementation; benchmark reports record it
 BACKEND = "pure"
 
 
-def orbit_scan(t_flat, ngen, size):
-    """Orbits of range(size) under ngen maps stored back to back in t_flat:
-    map k sends e to t_flat[k*size + e]."""
-    visited = bytearray(size)
-    reps = []
-    sizes = []
+def walk(table, ngen, size):
+    """Orbits of range(size) under ngen maps stored back to back in table:
+    map k sends x to table[k*size + x].
+
+    Each orbit is closed breadth-first from its least state.  Returns the
+    least state and size of each orbit, every state in the order reached,
+    orbit after orbit, and the spanning tree: for each state y the index
+    k*size + x through which it was first reached (table[tree[y]] == y, x
+    reached before y), or -1 for a least state; both as array('i')."""
     offs = [k * size for k in range(ngen)]
-    for e0 in range(size):
-        if visited[e0]:
-            continue
-        visited[e0] = 1
-        stack = [e0]
-        cnt = 0
-        while stack:
-            e = stack.pop()
-            cnt += 1
-            for off in offs:
-                e2 = t_flat[off + e]
-                if not visited[e2]:
-                    visited[e2] = 1
-                    stack.append(e2)
-        reps.append(e0)
-        sizes.append(cnt)
-    return reps, sizes
+    seen = bytearray(size)
+    tree = array("i", [-1]) * size
+    order = array("i")
+    reps, sizes = [], []
+    with memoryview(tree) as parent:  # faster item stores than the array
+        x0 = seen.find(0)
+        while x0 >= 0:
+            seen[x0] = 1
+            queue = [x0]
+            for x in queue:  # the queue grows while it is read
+                for off in offs:
+                    e = off + x
+                    y = table[e]
+                    if not seen[y]:
+                        seen[y] = 1
+                        parent[y] = e
+                        queue.append(y)
+            reps.append(x0)
+            sizes.append(len(queue))
+            order.fromlist(queue)
+            x0 = seen.find(0, x0 + 1)
+    return reps, sizes, order, tree
+
+
+def orbit_scan(t_flat, ngen, size):
+    """The class scan of a matrix group: walk over its conjugation tables."""
+    return walk(t_flat, ngen, size)
 
 
 def affine_orbit_scan(conj, points, sub_of, labels, cosets, mg, mv):

@@ -326,8 +326,16 @@ class TestBuildGroup:
             for j in range(a, b):
                 assert c.keys[j] == p_compose(c.gens[k], c.keys[c.parent[j]])
                 assert c.left[k][c.parent[j]] == j
+        index = {key: i for i, key in enumerate(c.keys)}
         for h, table in zip(c.gens, c.left):
-            assert list(table) == [c.index[p_compose(h, key)] for key in c.keys]
+            assert list(table) == [index[p_compose(h, key)] for key in c.keys]
+
+    def test_built_group_keeps_no_closure_index(self):
+        # conj_table finds each generator's inverse in its left table, so
+        # the closure's index dict is dropped before the group is sorted
+        g = build_group("Sp", 4, 2)
+        assert g._closure[0].index is None
+        assert len(g.conj_table()) == len(g.gen_perms) * g.order
 
     @pytest.mark.parametrize("q", [3, 19])
     def test_compose_all_matches_p_compose(self, q):
@@ -999,6 +1007,42 @@ class TestConjugationTables:
 class TestKernels:
     def test_backend_flag(self):
         assert kernel_mod.BACKEND == "pure"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=12).flatmap(
+        lambda size: st.lists(st.permutations(range(size)), max_size=3)
+        .map(lambda maps: (size, maps))))
+    def test_walk_against_brute_force_orbits(self, drawn):
+        size, maps = drawn
+        table = [y for m in maps for y in m]
+        reps, sizes, order, tree = kernel_mod.walk(table, len(maps), size)
+        orbits = []
+        for x in range(size):
+            if not any(x in orbit for orbit in orbits):
+                orbit, grown = {x}, True
+                while grown:
+                    image = {m[y] for m in maps for y in orbit}
+                    grown = not image <= orbit
+                    orbit |= image
+                orbits.append(orbit)
+        assert reps == [min(orbit) for orbit in orbits]
+        assert sizes == [len(orbit) for orbit in orbits]
+        # each orbit is one contiguous run of the order, its least state first
+        assert sorted(order) == list(range(size))
+        start = 0
+        for orbit in orbits:
+            run = order[start:start + len(orbit)]
+            assert set(run) == orbit and run[0] == min(orbit)
+            start += len(orbit)
+        # the tree: a least state has no parent, any other y is the image
+        # table[tree[y]] of a state reached before it
+        place = {y: i for i, y in enumerate(order)}
+        for y in range(size):
+            if y in reps:
+                assert tree[y] == -1
+            else:
+                assert table[tree[y]] == y
+                assert place[tree[y] % size] < place[y]
 
     @pytest.mark.parametrize("family,n,q", [
         ("GL", 2, 3), ("GU", 2, 2), ("Sp", 2, 3), ("O", 3, 3), ("O-", 4, 2),
