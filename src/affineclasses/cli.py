@@ -17,21 +17,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import bounds as bounds_mod
+from .cap import CapExceeded, check, resolve as resolve_cap
 from .classcount import (AFFINE_FAMILIES, ORBIT_BOTH_CHARS, TABLE_FAMILIES,
                          affine_counts, affine_recursive, affine_series,
                          characteristic, classical_series, k_ah,
                          necklace_product, orbit_built_series, orbit_counts,
                          recursion_counts, row_dimension, series_order,
                          sp_even_proof_form)
-from .oracle import (CapExceeded, DEFAULT_CAP, FORMULA_FAMILIES, VERIFICATION_GRID,
-                     AffineGroup, affine_order, build_affine, build_group,
-                     check_affine, count_classes, formula_check_o,
-                     orbit_sum_check)
+from .oracle import (FORMULA_FAMILIES, VERIFICATION_GRID, AffineGroup,
+                     affine_order, build_affine, build_group, check_affine,
+                     count_classes, formula_check_o, orbit_sum_check)
 from .partitions import IDENTITIES, KINDS, lemma_rhs, lemma_sum
 from .series import (QPOLY, Q, RATIONAL, QPoly, FactorFamily, TruncatedSeries,
                      apply_product, evaluate_q, geometric)
@@ -82,11 +82,9 @@ def _emit(text: str, out_path):
 
 
 # ---------------------------------------------------------------------------
-# configuration and cap resolution
+# configuration
 
 CONFIG_KEYS = ("order", "cap", "grid", "format")
-
-CAP_ENV = "AFFINECLASSES_CAP"
 
 
 def load_config(path) -> dict:
@@ -122,27 +120,14 @@ def _config_int(cfg, key):
                          % (key, cfg[key]))
 
 
-def resolve_cap(flag_value, cfg) -> int:
-    cap = flag_value
-    env = os.environ.get(CAP_ENV, "").strip()
-    if cap is None and env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise UsageError("%s must be an integer, got %r" % (CAP_ENV, env))
-    if cap is None:
-        cap = _config_int(cfg, "cap")
-    if cap is None:
-        cap = DEFAULT_CAP
-    if cap < 1:
-        raise UsageError("the cap must be at least 1, got %d" % cap)
-    return cap
-
-
 # ---------------------------------------------------------------------------
 # per-family count routes
 
 METHOD_ORDER = ("closed-form", "recursion", "orbit-assembly", "oracle")
+
+# the message of a run whose longest series, of series_order + 1
+# coefficients, is over the cap
+SERIES_CAP = "n_max %d needs a series of %%s coefficients, which exceeds"
 
 
 def _orbit_supported(fam: str, ch: str) -> bool:
@@ -159,15 +144,6 @@ def oracle_values(fam: str, q: int, n_max: int, cap: int):
         check_affine(group, row_dimension(fam, n), q, cap)
     return [count_classes(build_affine(group, row_dimension(fam, n), q, cap=cap)).k
             for n in rows]
-
-
-def _check_series_cap(n_max: int, order: int, cap: int):
-    """Refuse, from integers and before any series is built, a run whose
-    longest series, of order `order` (series_order), holds more than cap
-    coefficients."""
-    if order + 1 > cap:
-        raise CapExceeded("n_max %d needs a series of %d coefficients, which "
-                          "exceeds cap %d" % (n_max, order + 1, cap))
 
 
 def _route_values(method, fam, ch, q, n_max, cap):
@@ -223,9 +199,9 @@ def cmd_table(args) -> int:
             if _orbit_supported(fam, ch):
                 methods.append("orbit-assembly")
 
-        cap = resolve_cap(args.cap, cfg)
+        cap = resolve_cap(args.cap, cfg.get("cap"))
         if methods != ["oracle"]:
-            _check_series_cap(n_max, series_order(fam, ch, n_max), cap)
+            check(cap, SERIES_CAP % n_max, series_order(fam, ch, n_max) + 1)
         values = {m: _route_values(m, fam, ch, q, n_max, cap) for m in methods}
     except ValueError as e:
         raise UsageError(str(e))
@@ -246,10 +222,21 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 # verification suites
 
-def _case(name, expected, got):
-    ok = expected == got
-    return {"name": name, "status": "pass" if ok else "fail",
-            "expected": str(expected), "got": str(got)}
+def _case(name, compute):
+    """One case, run at once: compute() returns (expected, got), equal for a
+    pass.  A case that raises fails, with the exception as got, and the run
+    goes on; CapExceeded is not caught, so the command exits 3.  Work that
+    cases share is a functools.cache of a thunk, run again by each case that
+    reads it if it raised."""
+    try:
+        expected, got = compute()
+        return {"name": name, "status": "pass" if expected == got else "fail",
+                "expected": str(expected), "got": str(got)}
+    except CapExceeded:
+        raise
+    except Exception as e:
+        return {"name": name, "status": "fail", "expected": "not computed",
+                "got": "raised %s: %s" % (type(e).__name__, e)}
 
 
 def _coeffs(series):
@@ -278,35 +265,32 @@ def suite_identities(grid: str):
     cases = []
 
     order = 60
-    pent = apply_product(TruncatedSeries.one(order=order), [FactorFamily(-1, 1)])
-    cases.append(_case("identities/pentagonal-%d" % order,
-                       _pentagonal_coeffs(order), _coeffs(pent)))
+    cases.append(_case("identities/pentagonal-%d" % order, lambda: (
+        _pentagonal_coeffs(order),
+        _coeffs(apply_product(TruncatedSeries.one(order=order),
+                              [FactorFamily(-1, 1)])))))
 
     order = 25 if full else 12
-    lhs = necklace_product(Q, order)
-    rhs = TruncatedSeries.from_coeffs([1, -1], QPOLY, order) \
-        * geometric(Q, 1, QPOLY, order)
-    cases.append(_case("identities/irreducible-product-symbolic",
-                       _coeffs(rhs), _coeffs(lhs)))
+    cases.append(_case("identities/irreducible-product-symbolic", lambda: (
+        _coeffs(TruncatedSeries.from_coeffs([1, -1], QPOLY, order)
+                * geometric(Q, 1, QPOLY, order)),
+        _coeffs(necklace_product(Q, order)))))
 
     n_plain = 30 if full else 10
     n_signed = 14 if full else 6
-    sums = {}
-    for kind in KINDS:
-        sums.update(lemma_sum(kind, n_plain if kind == "plain" else n_signed))
+    sums = cache(lambda: {ident: got for kind in KINDS for ident, got in lemma_sum(
+        kind, n_plain if kind == "plain" else n_signed).items()})
     for ident in IDENTITIES:
-        got = sums[ident]
-        rhs = lemma_rhs(ident, len(got) - 1)
-        cases.append(_case("identities/partition-%s" % ident, _coeffs(rhs), got))
+        cases.append(_case("identities/partition-%s" % ident, lambda: (
+            _coeffs(lemma_rhs(ident, len(sums()[ident]) - 1)), sums()[ident])))
 
     order = 40
     qs = ((2, 4, 8, Q) if full else (2, Q))
     for q in qs:
         label = "symbolic" if isinstance(q, QPoly) else "q%d" % q
-        a = classical_series("Sp", q, order, "even")
-        b = sp_even_proof_form(q, order)
-        cases.append(_case("identities/sp-even-forms-%s" % label,
-                           _coeffs(a), _coeffs(b)))
+        cases.append(_case("identities/sp-even-forms-%s" % label, lambda: (
+            _coeffs(classical_series("Sp", q, order, "even")),
+            _coeffs(sp_even_proof_form(q, order)))))
     return cases
 
 
@@ -320,20 +304,18 @@ def suite_cross_method(grid: str):
             for q in qs:
                 if (q % 2 == 0) != (ch == "even"):
                     continue
-                series = affine_series(family, q, n_max)
-                rec = affine_recursive(family, q, n_max)
                 cases.append(_case(
-                    "cross-method/%s-%s-q%d" % (family, ch, q),
-                    _coeffs(series), list(rec)))
+                    "cross-method/%s-%s-q%d" % (family, ch, q), lambda: (
+                        _coeffs(affine_series(family, q, n_max)),
+                        list(affine_recursive(family, q, n_max)))))
     order = 25 if full else 12
     for family in AFFINE_FAMILIES:
         # the case names keep the odd-characteristic suffix of the families
         # that are assembled only there
         name = family if family in ORBIT_BOTH_CHARS else family + "-odd"
-        total = orbit_built_series(family, Q, order).total()
-        series = affine_series(family, Q, order)
-        cases.append(_case("cross-method/orbit-%s-symbolic" % name,
-                           _coeffs(series), _coeffs(total)))
+        cases.append(_case("cross-method/orbit-%s-symbolic" % name, lambda: (
+            _coeffs(affine_series(family, Q, order)),
+            _coeffs(orbit_built_series(family, Q, order).total()))))
     return cases
 
 
@@ -345,27 +327,30 @@ def _grid_expected(group, dim, q):
     return affine_counts(fam, q, n)[n]
 
 
+def _oracle_cases(family, dim, q):
+    """The cases of one oracle cell, which share its expected count, its
+    affine group and its orbit sums."""
+    label = "%s(%d,%d)" % (family, dim, q)
+    expected = cache(lambda: _grid_expected(family, dim, q))
+    ag = cache(lambda: build_affine(family, dim, q))
+    orbits = cache(lambda: orbit_sum_check(ag().base))
+    cases = [_case("oracle/%s-count" % label,
+                   lambda: (expected(), count_classes(ag()).k)),
+             _case("oracle/%s-orbit-sum" % label,
+                   lambda: (expected(), orbits()[1]))]
+    if family in FORMULA_FAMILIES:
+        cases.append(_case("oracle/%s-o-formula" % label, lambda: (
+            True, formula_check_o(ag().base, orbits()[0]).ok)))
+    return cases
+
+
 def suite_oracle(grid: str):
     full = grid == "full"
     cases = []
     for family, dim, q in VERIFICATION_GRID:
-        if not full and affine_order(family, dim, q) > 250_000:
-            continue
-        expected = _grid_expected(family, dim, q)
-        label = "%s(%d,%d)" % (family, dim, q)
-        ag = build_affine(family, dim, q)
-        cases.append(_case("oracle/%s-count" % label,
-                           expected, count_classes(ag).k))
-        per_class, total = orbit_sum_check(ag.base)
-        cases.append(_case("oracle/%s-orbit-sum" % label, expected, total))
-        if family in FORMULA_FAMILIES:
-            report = formula_check_o(ag.base, per_class)
-            cases.append(_case("oracle/%s-o-formula" % label, True, report.ok))
+        if full or affine_order(family, dim, q) <= 250_000:
+            cases.extend(_oracle_cases(family, dim, q))
     return cases
-
-
-def _symbolic(fam: str, ch: str, n: int) -> QPoly:
-    return affine_counts(fam, Q, n, ch)[n]
 
 
 def suite_paper_values(grid: str):
@@ -373,45 +358,43 @@ def suite_paper_values(grid: str):
     cases = []
     half = Fraction(1, 2)
 
-    cases.append(_case("paper-values/agl-dim1-symbolic",
-                       Q, _symbolic("agl", "odd", 1)))
-    cases.append(_case("paper-values/agu-dim1-symbolic",
-                       QPoly((0, 2)), _symbolic("agu", "odd", 1)))
-    cases.append(_case("paper-values/asp-dim2-symbolic",
-                       QPoly((4, 2)), _symbolic("asp", "odd", 1)))
-    cases.append(_case("paper-values/ao-dim1-symbolic",
-                       QPoly((3 * half, half)), _symbolic("ao-odd", "odd", 0)))
-    cases.append(_case("paper-values/ao-dim3-symbolic",
-                       QPoly((5 * half, 5, half)), _symbolic("ao-odd", "odd", 1)))
-    cases.append(_case("paper-values/ao-plus-even-dim2-symbolic",
-                       QPoly((0, 5 * half)), _symbolic("ao-plus", "even", 1)))
-    cases.append(_case("paper-values/ao-minus-even-dim2-symbolic",
-                       QPoly((0, 5 * half)), _symbolic("ao-minus", "even", 1)))
+    for name, want, fam, ch, n in (
+            ("agl-dim1", Q, "agl", "odd", 1),
+            ("agu-dim1", QPoly((0, 2)), "agu", "odd", 1),
+            ("asp-dim2", QPoly((4, 2)), "asp", "odd", 1),
+            ("ao-dim1", QPoly((3 * half, half)), "ao-odd", "odd", 0),
+            ("ao-dim3", QPoly((5 * half, 5, half)), "ao-odd", "odd", 1),
+            ("ao-plus-even-dim2", QPoly((0, 5 * half)), "ao-plus", "even", 1),
+            ("ao-minus-even-dim2", QPoly((0, 5 * half)), "ao-minus", "even", 1)):
+        cases.append(_case("paper-values/%s-symbolic" % name,
+                           lambda: (want, affine_counts(fam, Q, n, ch)[n])))
 
     for q in (3, 5, 7, 9) if full else (3, 5):
-        k = count_classes(build_group("SL", 2, q)).k
-        cases.append(_case("paper-values/sl2-q%d" % q,
-                           int(evaluate_q(QPoly((4, 1)), q)), k))
+        cases.append(_case("paper-values/sl2-q%d" % q, lambda: (
+            int(evaluate_q(QPoly((4, 1)), q)),
+            count_classes(build_group("SL", 2, q)).k)))
 
-    cases.append(_case("paper-values/asl23-recursion", 10, k_ah(3, 1, 2)[2]))
-    cases.append(_case("paper-values/asl23-oracle", 10,
-                       count_classes(build_affine("SL", 2, 3)).k))
-    cases.append(_case("paper-values/agl22", 5, bounds_mod.k_agl(2, 2)))
-    cases.append(_case("paper-values/asp43", 58, bounds_mod.k_asp(3, 2)))
-    cases.append(_case("paper-values/asp45", 110, bounds_mod.k_asp(5, 2)))
+    cases.append(_case("paper-values/asl23-recursion",
+                       lambda: (10, k_ah(3, 1, 2)[2])))
+    cases.append(_case("paper-values/asl23-oracle", lambda: (
+        10, count_classes(build_affine("SL", 2, 3)).k)))
+    cases.append(_case("paper-values/agl22", lambda: (5, bounds_mod.k_agl(2, 2))))
+    cases.append(_case("paper-values/asp43", lambda: (58, bounds_mod.k_asp(3, 2))))
+    cases.append(_case("paper-values/asp45", lambda: (110, bounds_mod.k_asp(5, 2))))
     for n, want in ((1, 5), (2, 21), (3, 67)):
-        cases.append(_case("paper-values/asp-2n%d-q2" % n, want,
-                           bounds_mod.k_asp(2, n)))
+        cases.append(_case("paper-values/asp-2n%d-q2" % n,
+                           lambda: (want, bounds_mod.k_asp(2, n))))
     for plus_type, n, want in ((True, 1, 5), (False, 1, 5), (True, 2, 20),
                                (False, 2, 18), (False, 3, 65)):
         name = "paper-values/ao-%s-dim%d-q2" % ("plus" if plus_type else "minus", 2 * n)
-        cases.append(_case(name, want, bounds_mod.k_ao_even_dim(2, n, plus_type)))
+        cases.append(_case(name, lambda: (
+            want, bounds_mod.k_ao_even_dim(2, n, plus_type))))
 
-    cases.append(_case("paper-values/asu32-oracle", 24,
-                       count_classes(build_affine("SU", 3, 2)).k))
+    cases.append(_case("paper-values/asu32-oracle", lambda: (
+        24, count_classes(build_affine("SU", 3, 2)).k)))
     if full:
-        cases.append(_case("paper-values/asu42-oracle", 49,
-                           count_classes(build_affine("SU", 4, 2, cap=7_000_000)).k))
+        cases.append(_case("paper-values/asu42-oracle", lambda: (
+            49, count_classes(build_affine("SU", 4, 2, cap=7_000_000)).k)))
     return cases
 
 
@@ -476,7 +459,7 @@ def cmd_bounds(args) -> int:
         chars = {characteristic(q) for q in q_set}
         order = max(series_order(f, ch, args.n_max)
                     for f in TABLE_FAMILIES for ch in chars)
-        _check_series_cap(args.n_max, order, resolve_cap(None, cfg))
+        check(resolve_cap(None, cfg.get("cap")), SERIES_CAP % args.n_max, order + 1)
         reports = bounds_mod.check_all_bounds(q_set, args.n_max)
         ah = bounds_mod.check_ah_theorem(q_set, args.n_max)
     except ValueError as e:
@@ -553,9 +536,9 @@ ORACLE_FAMILIES = {
 
 def cmd_oracle(args) -> int:
     cfg = load_config(args.config)
-    cap = resolve_cap(args.cap, cfg)
     family = ORACLE_FAMILIES[args.family]
     try:
+        cap = resolve_cap(args.cap, cfg.get("cap"))
         total_affine = affine_order(family, args.n, args.q, cap)
         base = build_group(family, args.n, args.q, cap=cap)
     except ValueError as e:

@@ -28,26 +28,24 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 
+from ..cap import DEFAULT_CAP, check
 from ..partitions import Partition, o_gl, o_gu
 from . import kernels
 from .field import FiniteField
-from .groups import (CapExceeded, Closure, DEFAULT_CAP, MatrixGroup,
-                     build_group, expected_order, field_order, identity_perm,
-                     mat_identity, mat_mul, mat_rank, mat_sub, p_compose,
-                     points, vec_index)
+from .groups import (Closure, MatrixGroup, build_group, expected_order,
+                     field_order, identity_perm, mat_identity, mat_mul,
+                     mat_rank, mat_sub, p_compose, points, vec_index)
 
 
-def _check_table(mv: int, cap: int) -> None:
-    """Refuse the |V|^2 addition table of |V| = mv points over the cap."""
-    if mv * mv > cap:
-        raise CapExceeded("vector addition table of %d entries exceeds cap %d"
-                          % (mv * mv, cap))
+def _check_table(size: int, n: int, cap: int) -> None:
+    """Refuse the |V|^2 = size^2n entry addition table of F^n over the cap."""
+    check(cap, "vector addition table of %s entries exceeds", size, 2 * n)
 
 
 def _vector_tables(F: FiniteField, n: int, cap: int):
     """Flat addition table add[a*mv+b] and negation table for the points
     of F^n, once the addition table is checked against the cap."""
-    _check_table(F.size ** n, cap)
+    _check_table(F.size, n, cap)
     return _point_tables(F, n)
 
 
@@ -110,9 +108,7 @@ class AffineGroup:
         self.family = "A" + base.family
         self.mv = base.field.size ** base.n
         self.order = base.order * self.mv
-        if self.order > cap:
-            raise CapExceeded("affine group order %d exceeds cap %d"
-                              % (self.order, cap))
+        check(cap, "affine group order %s exceeds", self.order)
         self.cap = cap
         self._classes = None
 
@@ -127,19 +123,17 @@ def build_affine(family: str, n: int, q: int, cap: int = DEFAULT_CAP) -> AffineG
 def check_affine(family: str, n: int, q: int, cap: int) -> None:
     """Refuse, from integers alone, an affine group whose |V|^2 addition
     table or order |G| |V| exceeds the cap."""
-    total = affine_order(family, n, q, cap)
-    if total > cap:
-        raise CapExceeded("affine group order %d exceeds cap %d" % (total, cap))
+    check(cap, "affine group order %s exceeds", affine_order(family, n, q, cap))
 
 
 def affine_order(family: str, n: int, q: int, cap: int | None = None) -> int:
     """Order of the affine group from integers alone, q checked first;
     given a cap, the |V|^2 addition table of its class count is held to it
     before any field or group is built."""
-    mv = field_order(family, q) ** n
+    size = field_order(family, q)
     if cap is not None:
-        _check_table(mv, cap)
-    return expected_order(family, n, q) * mv
+        _check_table(size, n, cap)
+    return expected_order(family, n, q) * size ** n
 
 
 #: every affine cell that fits under the default cap: (family, dim, q)

@@ -117,12 +117,6 @@ class FiniteField:
                 return x
         raise AssertionError("no primitive element")
 
-    def __repr__(self):
-        if self.degree == 1:
-            return "FiniteField(p=%d)" % self.p
-        c0, c1 = self.modulus
-        return "FiniteField(p=%d, degree=2, t^2+%d*t+%d=0)" % (self.p, c1, c0)
-
 
 @lru_cache(maxsize=16)
 def finite_field(p: int, degree: int = 1) -> FiniteField:

@@ -51,10 +51,9 @@ from itertools import chain, compress, repeat
 from operator import add, is_, itemgetter
 from random import Random
 
+from ..cap import DEFAULT_CAP, check
 from ..primes import prime_power
 from .field import FiniteField, field_for_order
-
-DEFAULT_CAP = 2_000_000
 
 GROUP_FAMILIES = {
     "GL": ("GL", False), "SL": ("GL", True), "GU": ("GU", False), "SU": ("GU", True),
@@ -68,10 +67,6 @@ def _row(family: str) -> tuple:
         raise ValueError("unknown family %r (choose from %s)"
                          % (family, ", ".join(GROUP_FAMILIES)))
     return GROUP_FAMILIES[family]
-
-
-class CapExceeded(RuntimeError):
-    """A requested group or affine group is larger than the element cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +212,8 @@ def p_invert(a):
 # ---------------------------------------------------------------------------
 # forms
 
-class FormData(namedtuple("FormData", "gram conj quadratic label",
-                          defaults=(None, False, None, ""))):
+class FormData(namedtuple("FormData", "gram conj quadratic",
+                          defaults=(None, False, None))):
     """Invariant form of a group: B(x, y) = sum sigma(x_i) g_ij y_j, where
     sigma is x -> x^p when conj is set and the identity otherwise.  An
     orthogonal form also holds Q as the upper-triangular matrix quadratic,
@@ -234,7 +229,7 @@ def symplectic_form(F: FiniteField, n: int) -> FormData:
     for i in range(m):
         g[i * n + m + i] = 1
         g[(m + i) * n + i] = F.neg(1)
-    return FormData(tuple(g), label="[[0,I],[-I,0]]")
+    return FormData(tuple(g))
 
 
 def orthogonal_form(F: FiniteField, n: int, family: str) -> FormData:
@@ -247,25 +242,21 @@ def orthogonal_form(F: FiniteField, n: int, family: str) -> FormData:
         half = F.inv(F.embed(2))
         for i in range(n):
             quad[i * n + i] = half
-        label = "identity Gram"
         identity_plus = (n // 2) % 2 == 0 or F.size % 4 == 1
         if family != "O" and identity_plus != (family == "O+"):
             a = F.nonsquare()
             quad[0] = F.mul(a, half)
-            label = "diag(%d,1,...,1)" % a
     else:
         for i in range(n // 2):
             quad[2 * i * n + 2 * i + 1] = 1
-        label = "x1x2+..."
         if family == "O-":
             a = next(c for c in range(F.size)
                      if all(F.add(F.add(F.mul(x, x), x), c) for x in range(F.size)))
             quad[(n - 2) * n + n - 2] = 1
             quad[n * n - 1] = a
-            label = "x1x2+...+x%d^2+x%dx%d+%d*x%d^2" % (n - 1, n - 1, n, a, n)
     gram = tuple(F.add(quad[i * n + j], quad[j * n + i])
                  for i in range(n) for j in range(n))
-    return FormData(gram, quadratic=tuple(quad), label=label)
+    return FormData(gram, quadratic=tuple(quad))
 
 
 def form_value(F: FiniteField, form: FormData, x: tuple, y: tuple) -> int:
@@ -593,9 +584,9 @@ def _resolve_form(family: str, F: FiniteField, n: int) -> FormData:
     """The form of a family whose dimension expected_order has accepted."""
     kind = _row(family)[0]
     if kind == "GL":
-        return FormData(label="no form")
+        return FormData()
     if kind == "GU":
-        return FormData(mat_identity(n), conj=True, label="identity Gram")
+        return FormData(mat_identity(n), conj=True)
     if kind == "Sp":
         return symplectic_form(F, n)
     return orthogonal_form(F, n, family)
@@ -621,17 +612,15 @@ def build_group(family: str, n: int, q: int, cap: int = DEFAULT_CAP) -> MatrixGr
     them, from a fixed seed, plus any candidate those miss
     (_greedy_generators); class
     data do not depend on them, as representatives are least indices in the
-    sorted order.  q is checked, and |G| and |V| are held to the cap, from
-    integers before the field is built.
+    sorted order.  q is checked, and |V| and then |G| are held to the cap,
+    from integers before the field is built.
     """
     det1 = _row(family)[1]
     size = field_order(family, q)
+    # |V| entries in the point table and each generator's permutation
+    check(cap, "%s points exceed", size, n)  # first: bounds n for the order
     expected = expected_order(family, n, q)
-    if expected > cap:
-        raise CapExceeded("group order %d exceeds cap %d" % (expected, cap))
-    if size ** n > cap:
-        # the point table and each generator's permutation hold |V| entries
-        raise CapExceeded("%d points exceed cap %d" % (size ** n, cap))
+    check(cap, "group order %s exceeds", expected)
 
     F = field_for_order(size)
     form = _resolve_form(family, F, n)

@@ -157,7 +157,8 @@ def test_criterion_6_everything_is_desk_scale():
     brute-force group fits under the default cap, the deepest series
     truncation is order 60, and the bound grid is a finite enumeration."""
     done = _within(10)
-    from affineclasses.oracle import DEFAULT_CAP, VERIFICATION_GRID, affine_order
+    from affineclasses.cap import DEFAULT_CAP
+    from affineclasses.oracle import VERIFICATION_GRID, affine_order
     largest = max(affine_order(f, n, q) for f, n, q in VERIFICATION_GRID)
     assert largest <= DEFAULT_CAP == 2 * 10 ** 6
     assert len(VERIFICATION_GRID) == 24

@@ -7,6 +7,7 @@ user sees: rendered text, exit codes, config and environment handling.
 import hashlib
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -15,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affineclasses import cli, primes
+from affineclasses.cap import CAP_ENV
 from affineclasses.classcount import affine_counts, row_dimension
-from affineclasses.cli import (CAP_ENV, CSV_COLUMNS, ORACLE_FAMILIES, SUITES,
+from affineclasses.cli import (CSV_COLUMNS, ORACLE_FAMILIES, SUITES,
                                TABLE_FAMILIES, main)
 from affineclasses.oracle import VERIFICATION_GRID
 from affineclasses.oracle import field as field_mod
@@ -454,6 +456,21 @@ class TestVerify:
         assert all(l.startswith("PASS ") for l in lines[:-1])
         assert lines[-1].endswith("0 failed")
 
+    def test_raising_case_fails_alone(self, capsys, monkeypatch):
+        def boom(*args):
+            raise ValueError("boom")
+        monkeypatch.setattr(cli, "orbit_built_series", boom)
+        code, out, _ = run(capsys, "verify", "--suite", "all",
+                           "--grid", "small")
+        assert code == 1
+        lines = out.splitlines()
+        failed = [l[5:] for l in lines if l.startswith("FAIL ")]
+        assert len(failed) == 5
+        assert all(f.startswith("cross-method/orbit-") for f in failed)
+        assert out.count("  got:      raised ValueError: boom\n") == 5
+        assert sum(l.startswith("PASS ") for l in lines) == 102
+        assert lines[-1] == "107 cases: 102 passed, 5 failed"
+
     def test_all_suites(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all",
                            "--grid", "small")
@@ -734,6 +751,22 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--family", "agl", "--q", "5",
                            "--n", "4")
         assert code == 3 and "cap" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("oracle", "--family", "agl", "--q", "3", "--n", "100000"),
+        ("oracle", "--family", "agl", "--q", "3", "--n", "100000000"),
+        # a series of 2 n_max + 2 coefficients, a number of 4301 digits
+        ("table", "--family", "ao-odd", "--q", "3", "--n-max", "9" * 4300),
+    ])
+    def test_cap_decided_without_the_count(self, capsys, monkeypatch, argv):
+        # 3^(2n) table entries are over the cap by their exponent, so the
+        # power is never computed, and no count in the message has more
+        # digits than str() converts
+        monkeypatch.delenv(CAP_ENV, raising=False)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "") and "exceeds cap 2000000" in err
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("argv,reason", [
         (("oracle", "--family", "agl", "--q", "1000003", "--n", "1"),

@@ -10,16 +10,18 @@ import hashlib
 import os
 import random
 import re
+import time
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affineclasses.cap import DEFAULT_CAP, CapExceeded
 from affineclasses.classcount import (TABLE_FAMILIES, affine_counts,
                                       affine_series, ao_split,
                                       classical_series, row_dimension)
-from affineclasses.oracle import (AffineGroup, CapExceeded, VERIFICATION_GRID,
+from affineclasses.oracle import (AffineGroup, VERIFICATION_GRID,
                                   affine_order, build_affine, build_group,
                                   count_classes, formula_check_o,
                                   orbit_sum_check)
@@ -30,13 +32,12 @@ from affineclasses.oracle import kernels as kernel_mod
 from affineclasses.oracle.engine import (centralizer_generators,
                                          unipotent_partition)
 from affineclasses.oracle.field import field_for_order, finite_field
-from affineclasses.oracle.groups import (DEFAULT_CAP, Closure,
-                                        _greedy_generators, basis_images,
-                                        expected_order, index_vec, mat_det,
-                                        mat_identity, mat_mul, mat_rank,
-                                        mat_vec, p_compose, p_compose_all,
-                                        perm_from_matrix, points,
-                                        preserves_form, vec_index)
+from affineclasses.oracle.groups import (Closure, _greedy_generators,
+                                        basis_images, expected_order,
+                                        index_vec, mat_det, mat_identity,
+                                        mat_mul, mat_rank, mat_vec, p_compose,
+                                        p_compose_all, perm_from_matrix,
+                                        points, preserves_form, vec_index)
 from affineclasses.partitions import d_stat
 from affineclasses.primes import is_prime
 from test_partitions import enum_partitions
@@ -286,10 +287,12 @@ class TestBuildGroup:
             disc = F.neg(disc)
         squares = {F.mul(x, x) for x in range(1, F.size)}
         assert (disc in squares) == (family == "O+")
+        # the identity Gram, or diag(a, 1, ..., 1) for a non-square a
         identity_plus = m % 2 == 0 or q % 4 == 1
-        want = ("identity Gram" if identity_plus == (family == "O+")
-                else "diag(%d,1,...,1)" % F.nonsquare())
-        assert g.form.label == want
+        want = list(mat_identity(n))
+        if identity_plus != (family == "O+"):
+            want[0] = F.nonsquare()
+        assert g.form.gram == tuple(want)
 
     @pytest.mark.parametrize("family,n,q", [("O-", 4, 3), ("O+", 2, 3),
                                             ("O-", 2, 5)])
@@ -391,6 +394,17 @@ class TestBuildGroup:
             build_group("GU", 1, 1_000_003)  # q + 1 elements fit
         with pytest.raises(CapExceeded, match="1018081 entries"):
             build_affine("GL", 1, 1009, cap=1_017_500)  # |G| |V| fits
+
+    def test_points_checked_before_the_order(self, monkeypatch):
+        # |GL(3000,2)| takes seconds to compute; 2^3000 points are refused
+        # by their exponent first, so the order formula never runs
+        def refuse(*args):
+            raise AssertionError("the order was computed")
+        monkeypatch.setattr(groups_mod, "expected_order", refuse)
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=r"^2\^3000 points exceed"):
+            build_group("GL", 3000, 2)
+        assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("family,n,q", [("SL", 2, 1), ("SU", 1, -1)])
     def test_affine_order_checks_q_first(self, family, n, q):
