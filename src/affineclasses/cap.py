@@ -13,9 +13,11 @@ class CapExceeded(RuntimeError):
     """A group, point set, table or series is larger than the cap."""
 
 
-def resolve(flag: int | None, configured: str | None = None) -> int:
+def resolve(flag: int | None, configured: str | None = None,
+            default: int | None = DEFAULT_CAP) -> int | None:
     """The flag, else AFFINECLASSES_CAP, else the config file's text for the
-    key cap, else DEFAULT_CAP; ValueError unless an integer of at least 1."""
+    key cap, else default; ValueError unless an integer of at least 1.  A
+    default of None tells the caller that nothing set the cap."""
     cap, env = flag, os.environ.get(CAP_ENV, "").strip()
     name, text = (CAP_ENV, env) if env else ("config key cap", configured)
     if cap is None and text is not None:
@@ -23,7 +25,8 @@ def resolve(flag: int | None, configured: str | None = None) -> int:
             cap = int(text)
         except ValueError:
             raise ValueError("%s must be an integer, got %r" % (name, text))
-    cap = DEFAULT_CAP if cap is None else cap
+    if cap is None:
+        return default
     if cap < 1:
         raise ValueError("the cap must be at least 1, got %d" % cap)
     return cap

@@ -8,7 +8,8 @@ Subcommands:
   oracle   brute-force class data for a single group cell
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap.
-The cap resolves as flag > AFFINECLASSES_CAP env > config file > default.
+The cap of table, verify and oracle resolves as flag > AFFINECLASSES_CAP env
+> config file > default; bounds has no flag and starts at the env.
 Config files are plain `key = value` lines (# comments allowed) with keys
 order, cap, grid, format.
 """
@@ -22,7 +23,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import bounds as bounds_mod
-from .cap import CapExceeded, check, resolve as resolve_cap
+from .cap import DEFAULT_CAP, CapExceeded, check, resolve as resolve_cap
 from .classcount import (AFFINE_FAMILIES, ORBIT_BOTH_CHARS, TABLE_FAMILIES,
                          affine_counts, affine_recursive, affine_series,
                          characteristic, classical_series, k_ah,
@@ -260,7 +261,7 @@ def _pentagonal_coeffs(order):
     return [want.get(n, 0) for n in range(order + 1)]
 
 
-def suite_identities(grid: str):
+def suite_identities(grid: str, cap: int | None = None):
     full = grid == "full"
     cases = []
 
@@ -294,7 +295,7 @@ def suite_identities(grid: str):
     return cases
 
 
-def suite_cross_method(grid: str):
+def suite_cross_method(grid: str, cap: int | None = None):
     full = grid == "full"
     qs = (2, 3, 4, 5, 7, 8, 9) if full else (2, 3)
     n_max = 25 if full else 10
@@ -327,13 +328,13 @@ def _grid_expected(group, dim, q):
     return affine_counts(fam, q, n)[n]
 
 
-def _oracle_cases(family, dim, q):
+def _oracle_cases(family, dim, q, cap):
     """The cases of one oracle cell, which share its expected count, its
     affine group and its orbit sums."""
     label = "%s(%d,%d)" % (family, dim, q)
     expected = cache(lambda: _grid_expected(family, dim, q))
-    ag = cache(lambda: build_affine(family, dim, q))
-    orbits = cache(lambda: orbit_sum_check(ag().base))
+    ag = cache(lambda: build_affine(family, dim, q, cap))
+    orbits = cache(lambda: orbit_sum_check(ag().base, cap))
     cases = [_case("oracle/%s-count" % label,
                    lambda: (expected(), count_classes(ag()).k)),
              _case("oracle/%s-orbit-sum" % label,
@@ -344,17 +345,25 @@ def _oracle_cases(family, dim, q):
     return cases
 
 
-def suite_oracle(grid: str):
+def suite_oracle(grid: str, cap: int | None = None):
     full = grid == "full"
+    cap = DEFAULT_CAP if cap is None else cap
     cases = []
     for family, dim, q in VERIFICATION_GRID:
         if full or affine_order(family, dim, q) <= 250_000:
-            cases.extend(_oracle_cases(family, dim, q))
+            cases.extend(_oracle_cases(family, dim, q, cap))
     return cases
 
 
-def suite_paper_values(grid: str):
+#: the cap of paper-values/asu42-oracle when nothing sets one: ASU(4,2) has
+#: 6,635,520 elements
+ASU42_CAP = 7_000_000
+
+
+def suite_paper_values(grid: str, cap: int | None = None):
     full = grid == "full"
+    big_cap = ASU42_CAP if cap is None else cap
+    cap = DEFAULT_CAP if cap is None else cap
     cases = []
     half = Fraction(1, 2)
 
@@ -372,12 +381,12 @@ def suite_paper_values(grid: str):
     for q in (3, 5, 7, 9) if full else (3, 5):
         cases.append(_case("paper-values/sl2-q%d" % q, lambda: (
             int(evaluate_q(QPoly((4, 1)), q)),
-            count_classes(build_group("SL", 2, q)).k)))
+            count_classes(build_group("SL", 2, q, cap)).k)))
 
     cases.append(_case("paper-values/asl23-recursion",
                        lambda: (10, k_ah(3, 1, 2)[2])))
     cases.append(_case("paper-values/asl23-oracle", lambda: (
-        10, count_classes(build_affine("SL", 2, 3)).k)))
+        10, count_classes(build_affine("SL", 2, 3, cap)).k)))
     cases.append(_case("paper-values/agl22", lambda: (5, bounds_mod.k_agl(2, 2))))
     cases.append(_case("paper-values/asp43", lambda: (58, bounds_mod.k_asp(3, 2))))
     cases.append(_case("paper-values/asp45", lambda: (110, bounds_mod.k_asp(5, 2))))
@@ -391,13 +400,16 @@ def suite_paper_values(grid: str):
             want, bounds_mod.k_ao_even_dim(2, n, plus_type))))
 
     cases.append(_case("paper-values/asu32-oracle", lambda: (
-        24, count_classes(build_affine("SU", 3, 2)).k)))
+        24, count_classes(build_affine("SU", 3, 2, cap)).k)))
     if full:
         cases.append(_case("paper-values/asu42-oracle", lambda: (
-            49, count_classes(build_affine("SU", 4, 2, cap=7_000_000)).k)))
+            49, count_classes(build_affine("SU", 4, 2, big_cap)).k)))
     return cases
 
 
+#: every suite is called as suite(grid, cap), cap None when no flag, env or
+#: config sets one; the identities and cross-method suites have fixed sizes
+#: and build no group, so they do not read it
 SUITES = {
     "identities": suite_identities,
     "cross-method": suite_cross_method,
@@ -411,10 +423,14 @@ def cmd_verify(args) -> int:
     grid = args.grid or cfg.get("grid") or "small"
     if grid not in ("small", "full"):
         raise UsageError("grid must be small or full, got %r" % (grid,))
+    try:
+        cap = resolve_cap(args.cap, cfg.get("cap"), default=None)
+    except ValueError as e:
+        raise UsageError(str(e))
     names = list(SUITES) if args.suite == "all" else [args.suite]
     cases = []
     for name in names:
-        cases.extend(SUITES[name](grid))
+        cases.extend(SUITES[name](grid, cap))
     failed = [c for c in cases if c["status"] == "fail"]
     report = {"suites": names, "grid": grid, "ok": not failed,
               "total": len(cases), "failed": len(failed), "cases": cases}
@@ -624,6 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "paper-values", "all"))
     p.add_argument("--grid", choices=("small", "full"))
     p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--cap", type=int,
+                   help="cap on the oracle's elements and points")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bounds", parents=[common],

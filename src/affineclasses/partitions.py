@@ -14,16 +14,17 @@ sign (_weight_class, _WEIGHTS).
 The partition identities are one table: each names the kind of partition it
 sums over, the statistic summed on the left, and the weight that multiplies
 the kind's product on the right.  The left sides are brute-force counts in
-ints: lemma_sum walks every multiplicity vector and every sign choice and
-tallies, per degree, the partitions, their unsigned part sizes and their
-signed part sizes in each weight class; a statistic reads those tallies, and
-a symbolic one is a single q-polynomial per degree built from them.
+ints: lemma_sum walks the kind's partitions of every degree at once, one
+node per partition and sign choice with its statistics carried down the
+walk, and tallies per degree the partitions, their unsigned part sizes and
+their signed part sizes in each weight class; a statistic reads those
+tallies, and a symbolic one is a single q-polynomial per degree built from
+them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from operator import itemgetter
 
 from .series import (
@@ -110,32 +111,6 @@ class SignedPartition:
 
     def __repr__(self):
         return "SignedPartition(%r, %r, %d)" % (self.mult, self.signs, self.parity)
-
-
-def _mult_vectors(total, largest, allowed, vec=None):
-    """Walk the partitions of `total` with parts <= largest whose
-    multiplicities pass allowed(part, mult), largest part first.  Each is
-    yielded as one list of (part size, multiplicity) pairs that the walk
-    reuses, so read it before asking for the next."""
-    if vec is None:
-        vec = []
-    if not total:
-        yield vec
-        return
-    for i in range(min(largest, total), 1, -1):
-        for a in range(total // i, 0, -1):
-            if allowed(i, a):
-                vec.append((i, a))
-                rest = total - i * a
-                if rest:
-                    yield from _mult_vectors(rest, i - 1, allowed, vec)
-                else:
-                    yield vec
-                vec.pop()
-    if largest and allowed(1, total):  # parts of size 1 take what is left
-        vec.append((1, total))
-        yield vec
-        vec.pop()
 
 
 def d_stat(lam) -> int:
@@ -236,33 +211,54 @@ _KINDS = {
     )),
 }
 
-#: the columns of a tally (see _tally); the signed part sizes per weight
-#: class follow them
+#: the columns of a tally row (see _tallies); the signed part sizes in each
+#: of the three weight classes follow them
 _PARTS, _UNSIGNED, _SINGLE, _CLASSES = 0, 1, 2, 3
 
 
-def _tally(size: int, parity) -> list:
-    """Ints summed over the partitions of `size`, a signed partition once
-    for every sign choice on its part sizes of the signed parity: the
-    partitions, their unsigned part sizes, those of multiplicity 1, then
-    their signed part sizes in each weight class."""
-    out = [0] * (_CLASSES + len(_WEIGHTS))
+def _tallies(size_max: int, parity) -> list:
+    """Ints summed over the partitions of each size 0..size_max, a signed
+    partition once for every sign choice on its part sizes of the signed
+    parity: one row per size of the partitions, their unsigned part sizes,
+    those of multiplicity 1, then their signed part sizes per weight class.
 
-    def allowed(i, a):
-        return parity is None or i % 2 == parity or a % 2 == 0
-
-    for vec in _mult_vectors(size, size, allowed):
-        classes = [(_weight_class(a, PLUS), _weight_class(a, MINUS))
-                   for i, a in vec if i % 2 == parity]
-        unsigned = len(vec) - len(classes)
-        single = sum(1 for i, a in vec if a == 1 and i % 2 != parity)
-        for choice in product(*classes):
-            out[_PARTS] += 1
-            out[_UNSIGNED] += unsigned
-            out[_SINGLE] += single
-            for c in choice:
-                out[_CLASSES + c] += 1
-    return out
+    One walk visits them all.  A node is a partition, tallied at its size;
+    its children add one part size below its smallest part, at one allowed
+    multiplicity and, for a signed size, one sign.  A node carries its
+    statistics on an explicit stack, and a child adds the increments of its
+    (part size, multiplicity, sign), so each node costs the same."""
+    rows = [[0] * (_CLASSES + 3) for _ in range(size_max + 1)]
+    # steps[i]: per allowed multiplicity a of part size i, rising, and per
+    # sign of a signed size: (i * a, the statistics it adds)
+    steps = [[] for _ in range(size_max + 1)]
+    for i in range(1, size_max + 1):
+        for a in range(1, size_max // i + 1):
+            if i % 2 == parity:
+                for eps in (PLUS, MINUS):
+                    step = [i * a, 0, 0, 0, 0, 0]
+                    step[_CLASSES + _weight_class(a, eps)] = 1
+                    steps[i].append(tuple(step))
+            elif parity is None or a % 2 == 0:
+                steps[i].append((i * a, 1, int(a == 1), 0, 0, 0))
+    # a node: size, smallest part (size_max + 1 at the root), statistics
+    stack = [(0, size_max + 1, 0, 0, 0, 0, 0)] if size_max >= 0 else []
+    while stack:
+        size, smallest, unsigned, single, c0, c1, c2 = stack.pop()
+        row = rows[size]
+        row[0] += 1
+        row[1] += unsigned
+        row[2] += single
+        row[3] += c0
+        row[4] += c1
+        row[5] += c2
+        room = size_max - size
+        for i in range(min(smallest - 1, room), 0, -1):
+            for added, du, ds, d0, d1, d2 in steps[i]:
+                if added > room:
+                    break
+                stack.append((size + added, i, unsigned + du,
+                              single + ds, c0 + d0, c1 + d1, c2 + d2))
+    return rows
 
 
 def _weighted(t: list):
@@ -306,22 +302,19 @@ def lemma_sum(kind: str, n_max: int) -> dict:
     """Left sides of the partition identities of one kind, by direct
     enumeration in ints.
 
-    For each n = 0..n_max the kind's partitions at u-degree n are walked
-    once, every sign choice of a signed one included, and tallied (_tally);
-    every identity of that kind reads its statistic off the tally.  Nothing
-    of degree n is kept but its tally.  Returns {identity: coefficient list
-    for n = 0..n_max}, in table order, with ints, or one QPoly per degree
-    for the symbolic identities.
+    One walk visits every partition of the kind up to u-degree n_max, every
+    sign choice of a signed one included, and tallies each at its own size
+    (_tallies); every identity of that kind reads its statistic off the row
+    of each degree n = 0..n_max.  Returns {identity: coefficient list for
+    n = 0..n_max}, in table order, with ints, or one QPoly per degree for
+    the symbolic identities.
     """
     if kind not in _KINDS:
         raise ValueError("unknown partition kind %r" % (kind,))
     scale, parity, _ = _KINDS[kind]
-    rows = {name: (stat, []) for name, (k, stat, _) in _TABLE.items() if k == kind}
-    for n in range(n_max + 1):
-        t = _tally(scale * n, parity)
-        for stat, sums in rows.values():
-            sums.append(stat(t))
-    return {name: sums for name, (_, sums) in rows.items()}
+    rows = _tallies(scale * n_max, parity)
+    return {name: [stat(rows[scale * n]) for n in range(n_max + 1)]
+            for name, (k, stat, _) in _TABLE.items() if k == kind}
 
 
 @lru_cache(maxsize=None)

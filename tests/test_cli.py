@@ -515,7 +515,7 @@ class TestVerify:
         assert json.loads(out)["failed"] == 0
 
     def test_failure_exits_1(self, capsys, monkeypatch):
-        def broken(grid):
+        def broken(grid, cap):
             return [{"name": "stub/forced", "status": "fail",
                      "expected": "1", "got": "2"}]
         monkeypatch.setitem(SUITES, "identities", broken)
@@ -532,30 +532,80 @@ class TestVerify:
                            "--config", str(cfg))
         assert code == 2 and "grid" in err
 
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_cap_exceeded(self, tmp_path, capsys, monkeypatch, source):
+        # SL(2,3), the first group paper-values builds, has order 24
+        monkeypatch.delenv(CAP_ENV, raising=False)
+        argv = ["verify", "--suite", "paper-values", "--grid", "small"]
+        if source == "flag":
+            argv += ["--cap", "10"]
+        elif source == "env":
+            monkeypatch.setenv(CAP_ENV, "10")
+        else:
+            cfg = tmp_path / "cfg"
+            cfg.write_text("cap = 10\n")
+            argv += ["--config", str(cfg)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "error: group order 24 exceeds cap 10\n"
+
+    def test_oracle_suite_held_to_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv(CAP_ENV, "100")
+        code, out, err = run(capsys, "verify", "--suite", "oracle",
+                             "--grid", "small")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.endswith(" exceeds cap 100\n")
+
+    def test_asu42_cap_only_when_none_is_set(self, capsys, monkeypatch):
+        # ASU(4,2) is checked at 7,000,000 only when nothing sets a cap; a
+        # cap set to the default refuses it
+        monkeypatch.delenv(CAP_ENV, raising=False)
+        argv = ("verify", "--suite", "paper-values", "--grid", "full")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "PASS paper-values/asu42-oracle\n" in out
+        code, out, err = run(capsys, *argv, "--cap", "2000000")
+        assert (code, out) == (3, "")
+        assert err == "error: affine group order 6635520 exceeds cap 2000000\n"
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_cap_below_1(self, capsys, monkeypatch, source):
+        monkeypatch.delenv(CAP_ENV, raising=False)
+        argv = ["verify", "--suite", "identities", "--grid", "small"]
+        if source == "flag":
+            argv += ["--cap", "0"]
+        else:
+            monkeypatch.setenv(CAP_ENV, "0")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: the cap must be at least 1, got 0\n"
+
 
 # ---------------------------------------------------------------------------
 # recorded outputs
 
-# the benchmark's recorded exit codes and stdout digests of the exact
-# commands: bounds, the cross-method and identity suites and every table,
-# numeric-q and symbolic
+# the benchmark's recorded exit codes and stdout digests of every command it
+# runs: bounds, the cross-method and identity suites and every table,
+# numeric-q and symbolic, and the oracle's three
 REFERENCE = json.loads((Path(__file__).resolve().parent.parent
                         / "perfbench" / "reference.json").read_text())["commands"]
-EXACT_COMMANDS = sorted(
-    c for c in REFERENCE
-    if c.startswith(("bounds ", "table ", "verify --suite cross-method ",
-                     "verify --suite identities ")))
+REFERENCE_COMMANDS = sorted(REFERENCE)
 
 
 def test_exact_commands_replayed():
-    # 41 value-mode commands, the full identity suite and six symbolic tables
-    assert len(EXACT_COMMANDS) == 48
-    assert "verify --suite identities --grid full" in EXACT_COMMANDS
-    assert sum("--symbolic-q --n-max 30" in c for c in EXACT_COMMANDS) == 6
+    # 41 value-mode commands, the full identity suite, six symbolic tables
+    # and three oracle commands
+    assert len(REFERENCE_COMMANDS) == 51
+    assert "verify --suite identities --grid full" in REFERENCE_COMMANDS
+    assert sum("--symbolic-q --n-max 30" in c for c in REFERENCE_COMMANDS) == 6
+    assert sum(c.startswith(("oracle ", "verify --suite oracle ",
+                             "verify --suite paper-values "))
+               for c in REFERENCE_COMMANDS) == 3
 
 
-@pytest.mark.parametrize("command", EXACT_COMMANDS)
-def test_reference_output(capsys, command):
+@pytest.mark.parametrize("command", REFERENCE_COMMANDS)
+def test_reference_output(capsys, monkeypatch, command):
+    # recorded with no cap set anywhere
+    monkeypatch.delenv(CAP_ENV, raising=False)
     code, out, _ = run(capsys, *command.split())
     want = REFERENCE[command]
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (

@@ -281,6 +281,53 @@ class TestIdentities:
             assert total == as_qpoly(parts)
 
 
+def object_row(objects):
+    """A tally row from the object enumeration: the partitions, their
+    unsigned part sizes, those of multiplicity 1, then the signed part
+    sizes in each weight class."""
+    row = [0] * 6
+    for lam in objects:
+        signs = getattr(lam, "signs", {})
+        row[0] += 1
+        row[1] += len(lam.mult) - len(signs)
+        row[2] += sum(1 for i, a in lam.mult.items() if a == 1 and i not in signs)
+        for i, eps in signs.items():
+            row[3 + partitions._weight_class(lam.mult[i], eps)] += 1
+    return row
+
+
+class TestWalk:
+    """lemma_sum's one walk over every size against the object
+    enumeration of each size on its own."""
+
+    @pytest.mark.parametrize("size_max,parity", [(14, None), (18, 0), (12, 1)],
+                             ids=["plain", "Sp", "O"])
+    def test_every_row_matches_the_objects(self, size_max, parity):
+        def objects(size):
+            if parity is None:
+                return enum_partitions(size)
+            if parity == 0 and size % 2:
+                return []  # symplectic partitions have even size
+            return enum_signed(size, parity)
+        assert partitions._tallies(size_max, parity) == [
+            object_row(objects(size)) for size in range(size_max + 1)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_are_prefixes(self, kind):
+        n = 4
+        short, long = lemma_sum(kind, n), lemma_sum(kind, n + 5)
+        assert list(short) == list(long)
+        for identity, sums in short.items():
+            assert len(sums) == n + 1
+            assert long[identity][:n + 1] == sums
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_negative_degree_gives_empty_rows(self, kind):
+        got = lemma_sum(kind, -1)
+        assert list(got) == list(lemma_sum(kind, 0))
+        assert all(sums == [] for sums in got.values())
+
+
 def unsigned_sizes(lam):
     return len(lam.mult) - len(lam.signs)
 
